@@ -4,13 +4,19 @@ Each controller owns ports on dual channels (:class:`~repro.elastic.
 channel.Channel`) and implements two methods:
 
 * ``evaluate()`` -- combinational: read the current (possibly unknown)
-  wire values and drive output wires using ternary logic.  Called
-  repeatedly until the whole network reaches a fixed point; all
-  equations are monotone (X can only resolve to 0/1), so the fixed
-  point exists and is unique.
+  wire values and drive output wires using ternary logic.  All
+  equations are monotone (X can only resolve to 0/1), so each cycle has
+  a unique least fixed point.
 * ``commit()`` -- sequential: called once per cycle after the network
   settled, to update internal state (buffer occupancy, pending-token
   flip-flops, variable-latency countdowns).
+
+Each controller class also declares its combinational *port model*
+(:attr:`Controller.PORTS`): which wires it drives and which wires each
+of them reads.  :class:`ElasticNetwork` turns the declarations into a
+static per-cycle schedule of ``evaluate()`` calls, so a wire is
+computed once its inputs are known; only genuine combinational loops
+are iterated.
 
 The controller equations transcribe Figs. 3--7 of the paper at the
 cycle level:
@@ -44,12 +50,32 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.elastic.channel import Channel
 from repro.elastic.ee import AndEE, EarlyEvalFunction
 from repro.elastic.protocol import ProtocolViolation
-from repro.rtl.logic import Value, X, is_known, land, lnot, lor
+from repro.rtl.logic import Value, X
+
+#: The four control wires of a channel (its attribute names).
+WIRES = ("vp", "sp", "vn", "sn")
+#: A wire of one channel: ``(channel, "vp" | "sp" | "vn" | "sn")``.
+Wire = Tuple[Channel, str]
+#: One step of the evaluation pass: controllers, and the wires of the
+#: combinational loop they are iterated on (``None``: evaluate once).
+_Step = Tuple[Tuple["Controller", ...], Optional[List[Wire]]]
+
+# Ternary logic on canonical wire values (0, 1, X) as table lookups.
+# Bools index the tables too (``True == 1``); any other value must be
+# canonicalised first (see :func:`_canon`).
+_NOT = {0: 1, 1: 0, X: X}
+_AND = {0: {0: 0, 1: 0, X: 0}, 1: {0: 0, 1: 1, X: X}, X: {0: 0, 1: X, X: X}}
+_OR = {0: {0: 0, 1: 1, X: X}, 1: {0: 1, 1: 1, X: 1}, X: {0: X, 1: 1, X: X}}
 
 
-def _b(value: object) -> Value:
-    """Python bool/int -> canonical wire value."""
-    return 1 if value else 0
+def _all(values: Sequence[Value]) -> Value:
+    """Ternary AND of a sequence: 0 dominates, else X, else 1."""
+    return 0 if 0 in values else X if X in values else 1
+
+
+def _canon(value: object) -> Value:
+    """Any truthy/falsy value or X -> canonical wire value."""
+    return X if value is X else 1 if value else 0
 
 
 #: Sentinel for "no payload latched" (None is legitimate channel data).
@@ -57,7 +83,22 @@ _NO_HELD_DATA = object()
 
 
 class Controller:
-    """Base class: a named controller with evaluate/commit phases."""
+    """Base class: a named controller with evaluate/commit phases.
+
+    :attr:`PORTS` is the class's combinational port model: it maps each
+    driven wire, written ``"attr.wire"`` (``attr`` names an attribute
+    holding a channel or a list of channels), to the wires it reads.
+    Outputs mapped to ``()`` depend on state only.  Subclasses inherit
+    their base's declaration.  Without one (``PORTS = None``) the model
+    is conservative: every driven wire reads every wire of every
+    channel, and the driven wires follow the attribute shape
+    (``left``/``right``, ``input(s)``/``output(s)``), or are every wire
+    when that finds nothing.  A wrong declaration cannot produce a
+    wrong value: a missed dependency leaves a wire at X, which the
+    network reports.
+    """
+
+    PORTS: Optional[Dict[str, Tuple[str, ...]]] = None
 
     def __init__(self, name: str):
         self.name = name
@@ -72,6 +113,58 @@ class Controller:
 
     def commit(self) -> None:
         """Update sequential state from the settled wires."""
+
+    def _port(self, attr: str) -> List[Channel]:
+        value = getattr(self, attr)
+        return [value] if isinstance(value, Channel) else list(value)
+
+    def _wires(self, spec: str) -> List[Wire]:
+        attr, wire = spec.split(".")
+        return [(ch, wire) for ch in self._port(attr)]
+
+    def roles(self) -> Tuple[List[Channel], List[Channel]]:
+        """``(consumed, produced)`` channels.
+
+        Consumed channels are those the controller reads tokens from (it
+        drives their ``{S+, V-}`` wires); produced channels are those it
+        emits tokens into (it drives ``{V+, S-}``).
+        """
+        ports = self.PORTS
+        if ports is None:
+            if hasattr(self, "left") and hasattr(self, "right"):
+                return [self.left], [self.right]
+            consumed, produced = [], []
+            if hasattr(self, "inputs"):
+                consumed += list(self.inputs)
+            elif hasattr(self, "input"):
+                consumed.append(self.input)
+            if hasattr(self, "outputs"):
+                produced += list(self.outputs)
+            elif hasattr(self, "output"):
+                produced.append(self.output)
+            return consumed, produced
+        consumed, produced = [], []
+        seen = set()
+        for spec in ports:
+            attr, wire = spec.split(".")
+            backward = wire in ("sp", "vn")
+            if (attr, backward) not in seen:
+                seen.add((attr, backward))
+                (consumed if backward else produced).extend(self._port(attr))
+        return consumed, produced
+
+    def port_model(self) -> List[Tuple[List[Wire], List[Wire]]]:
+        """``(driven, reads)`` pairs resolved from :attr:`PORTS`."""
+        if self.PORTS is None:
+            every = [(ch, w) for ch in self.channels() for w in WIRES]
+            consumed, produced = self.roles()
+            driven = [(ch, w) for ch in consumed for w in ("sp", "vn")]
+            driven += [(ch, w) for ch in produced for w in ("vp", "sn")]
+            return [(driven or every, every)]
+        return [
+            (self._wires(spec), [w for r in reads for w in self._wires(r)])
+            for spec, reads in self.PORTS.items()
+        ]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -96,6 +189,8 @@ class ElasticBuffer(Controller):
 
     which preserve the invariants of equation (2) by construction.
     """
+
+    PORTS = {"right.vp": (), "right.sn": (), "left.sp": (), "left.vn": ()}
 
     def __init__(
         self,
@@ -141,14 +236,13 @@ class ElasticBuffer(Controller):
         return max(-self.count, 0)
 
     def evaluate(self) -> bool:
-        changed = False
-        has_token = self.count > 0
-        changed |= self.right.drive_vp(_b(has_token))
-        if has_token:
-            self.right.put_data(self.data[0])
-        changed |= self.right.drive_sn(_b(self.count <= -self.capacity))
-        changed |= self.left.drive_sp(_b(self.count >= self.capacity))
-        changed |= self.left.drive_vn(_b(self.count < 0))
+        count, right, left = self.count, self.right, self.left
+        changed = right.drive_vp(count > 0)
+        if count > 0:
+            right.put_data(self.data[0])
+        changed |= right.drive_sn(count <= -self.capacity)
+        changed |= left.drive_sp(count >= self.capacity)
+        changed |= left.drive_vn(count < 0)
         return changed
 
     def commit(self) -> None:
@@ -203,6 +297,13 @@ class Join(Controller):
     back-pressure) latch it in their flip-flop.
     """
 
+    PORTS = {
+        "output.vp": ("inputs.vp",),
+        "output.sn": (),
+        "inputs.vn": ("inputs.vp", "output.vn"),
+        "inputs.sp": ("inputs.vp", "output.sp", "output.vn"),
+    }
+
     def __init__(
         self,
         name: str,
@@ -222,12 +323,11 @@ class Join(Controller):
         return (*self.inputs, self.output)
 
     def evaluate(self) -> bool:
-        changed = False
         out = self.output
-        pending = _b(any(self.apend))
+        pending = any(self.apend)
 
-        vp_out = land(lnot(pending), *[ch.vp for ch in self.inputs])
-        changed |= out.drive_vp(vp_out)
+        vp_out = 0 if pending else _all([ch.vp for ch in self.inputs])
+        changed = out.drive_vp(vp_out)
         if vp_out == 1:
             out.put_data(self.combine([ch.data for ch in self.inputs]))
         # B gate also back-pressures further anti-tokens while draining.
@@ -235,13 +335,13 @@ class Join(Controller):
 
         # Eager anti-token fork: broadcast an accepted anti-token, plus
         # any anti-tokens still pending in the flip-flops.
-        forked = land(out.vn, lnot(vp_out), lnot(pending))
-        fire = land(vp_out, lnot(out.sp))
+        forked = 0 if pending else _AND[out.vn][_NOT[vp_out]]
+        fire = _AND[vp_out][_NOT[out.sp]]
         for i, ch in enumerate(self.inputs):
-            vn_i = lor(_b(self.apend[i]), forked)
+            vn_i = 1 if self.apend[i] else forked
             changed |= ch.drive_vn(vn_i)
             # I gate: never stop a token we are about to kill.
-            changed |= ch.drive_sp(land(lnot(fire), lnot(vn_i)))
+            changed |= ch.drive_sp(_AND[_NOT[fire]][_NOT[vn_i]])
         return changed
 
     def commit(self) -> None:
@@ -251,7 +351,7 @@ class Join(Controller):
             offered = ch.vn == 1
             delivered = offered and (ch.vp == 1 or ch.sn == 0)
             incoming = accepted
-            self.apend[i] = _b((self.apend[i] or incoming) and not delivered)
+            self.apend[i] = 1 if (self.apend[i] or incoming) and not delivered else 0
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +373,13 @@ class EarlyJoin(Controller):
     it can be consumed), and the B gate only blocks new firings when a
     counter is full.
     """
+
+    PORTS = {
+        "output.vp": ("inputs.vp",),
+        "output.sn": (),
+        "inputs.vn": ("inputs.vp", "output.sp", "output.vn"),
+        "inputs.sp": ("inputs.vp", "output.sp", "output.vn"),
+    }
 
     def __init__(
         self,
@@ -301,7 +408,7 @@ class EarlyJoin(Controller):
         # Inputs with pending anti-tokens are masked: their next token
         # is already doomed and cannot be consumed by a firing.
         valids = [
-            land(ch.vp, _b(self.apend[i] == 0))
+            ch.vp if self.apend[i] == 0 else 0
             for i, ch in enumerate(self.inputs)
         ]
         datas = [
@@ -311,14 +418,12 @@ class EarlyJoin(Controller):
         return valids, datas
 
     def evaluate(self) -> bool:
-        changed = False
         out = self.output
-        full = _b(any(c >= self.anti_capacity for c in self.apend))
+        full = any(c >= self.anti_capacity for c in self.apend)
 
         valids, datas = self._ee_inputs()
-        ee_val = self.ee.evaluate(valids, datas)
-        vp_out = land(ee_val, lnot(full))
-        changed |= out.drive_vp(vp_out)
+        vp_out = 0 if full else _canon(self.ee.evaluate(valids, datas))
+        changed = out.drive_vp(vp_out)
         if vp_out == 1:
             # SELF persistence: a token stalled in Retry+ must keep the
             # payload it was first offered with, even if a late input
@@ -330,15 +435,15 @@ class EarlyJoin(Controller):
                 out.put_data(self.ee.output_data(valids, datas))
         changed |= out.drive_sn(full)
 
-        fire = land(vp_out, lnot(out.sp))
-        forked = land(out.vn, lnot(vp_out), lnot(full))
+        fire = _AND[vp_out][_NOT[out.sp]]
+        forked = 0 if full else _AND[out.vn][_NOT[vp_out]]
         for i, ch in enumerate(self.inputs):
             # G gate: early firing leaves an anti-token on inputs whose
             # (unmasked) token was absent.
-            generated = land(fire, lnot(valids[i]))
-            vn_i = lor(_b(self.apend[i] > 0), generated, forked)
+            generated = _AND[fire][_NOT[valids[i]]]
+            vn_i = 1 if self.apend[i] > 0 else _OR[generated][forked]
             changed |= ch.drive_vn(vn_i)
-            changed |= ch.drive_sp(land(lnot(fire), lnot(vn_i)))
+            changed |= ch.drive_sp(_AND[_NOT[fire]][_NOT[vn_i]])
         return changed
 
     def commit(self) -> None:
@@ -381,6 +486,13 @@ class EagerFork(Controller):
     in flight -- the exact dual of the lazy token join.
     """
 
+    PORTS = {
+        "input.vn": ("outputs.vn",),
+        "outputs.vp": ("input.vp",),
+        "outputs.sn": ("input.vp", "input.sn", "outputs.vn"),
+        "input.sp": ("input.vp", "outputs.sp", "outputs.vn"),
+    }
+
     def __init__(
         self,
         name: str,
@@ -400,10 +512,9 @@ class EagerFork(Controller):
         return (self.input, *self.outputs)
 
     def evaluate(self) -> bool:
-        changed = False
         inp = self.input
         done: List[Value] = []
-        anti_all = land(*[ch.vn for ch in self.outputs])
+        anti_all = _all([ch.vn for ch in self.outputs])
         # The anti-token wave crosses the fork only at a fresh token
         # boundary (every pending flag set): a half-delivered token
         # must finish first, or branch anti-tokens targeting different
@@ -412,28 +523,25 @@ class EagerFork(Controller):
         # when forks abut -- the hazard Sect. 4 warns about -- and
         # Retry- persistence holds because a colliding token is
         # annihilated (kill) instead of forcing a withdrawal.
-        fresh = _b(all(self.pend))
-        vn_in = land(anti_all, fresh)
-        changed |= inp.drive_vn(vn_in)
+        vn_in = anti_all if all(self.pend) else 0
+        changed = inp.drive_vn(vn_in)
         # The wave is consumed when the input channel moves it: a
         # negative transfer backwards, or a kill against an arriving
         # token (which annihilates every branch copy at once).
-        moved = land(vn_in, lor(inp.vp, lnot(inp.sn)))
+        moved = _AND[vn_in][_OR[inp.vp][_NOT[inp.sn]]]
         for i, ch in enumerate(self.outputs):
-            pend = _b(self.pend[i])
-            vp_i = land(inp.vp, pend)
+            vp_i = inp.vp if self.pend[i] else 0
             changed |= ch.drive_vp(vp_i)
             if vp_i == 1:
                 payload = inp.data
                 if self.branch_data is not None:
                     payload = self.branch_data(i, payload)
                 ch.put_data(payload)
-            completed = land(vp_i, lor(lnot(ch.sp), ch.vn))
-            done.append(lor(lnot(pend), completed))
+            completed = _AND[vp_i][_OR[_NOT[ch.sp]][ch.vn]]
+            done.append(completed if self.pend[i] else 1)
             # I gate: never stop an anti-token that annihilates our copy.
-            changed |= ch.drive_sn(land(lnot(moved), lnot(vp_i)))
-        all_done = land(*done)
-        changed |= inp.drive_sp(land(lnot(all_done), lnot(vn_in)))
+            changed |= ch.drive_sn(_AND[_NOT[moved]][_NOT[vp_i]])
+        changed |= inp.drive_sp(_AND[_NOT[_all(done)]][_NOT[vn_in]])
         return changed
 
     def commit(self) -> None:
@@ -460,6 +568,13 @@ class LazyFork(Controller):
     unresolved fixed point in that case.
     """
 
+    PORTS = {
+        "input.vn": ("outputs.vn",),
+        "outputs.vp": ("input.vp", "outputs.sp", "outputs.vn"),
+        "outputs.sn": ("input.vp", "input.sn", "outputs.sp", "outputs.vn"),
+        "input.sp": ("input.vp", "outputs.sp", "outputs.vn"),
+    }
+
     def __init__(self, name: str, input: Channel, outputs: Sequence[Channel]):
         super().__init__(name)
         self.input = input
@@ -469,26 +584,24 @@ class LazyFork(Controller):
         return (self.input, *self.outputs)
 
     def evaluate(self) -> bool:
-        changed = False
         inp = self.input
-        anti_all = land(*[ch.vn for ch in self.outputs])
         # A lazy fork is always at a fresh token boundary (no pending
         # state), so the wave gate reduces to anti_all; see EagerFork
         # for the state-gated variant.
-        vn_in = anti_all
-        changed |= inp.drive_vn(vn_in)
-        moved = land(vn_in, lor(inp.vp, lnot(inp.sn)))
+        vn_in = _all([ch.vn for ch in self.outputs])
+        changed = inp.drive_vn(vn_in)
+        moved = _AND[vn_in][_OR[inp.vp][_NOT[inp.sn]]]
         stops = [ch.sp for ch in self.outputs]
         for i, ch in enumerate(self.outputs):
             others = [s for j, s in enumerate(stops) if j != i]
             kill_ok = ch.vn  # a branch anti-token always completes a copy
-            vp_i = land(inp.vp, lor(land(*[lnot(s) for s in others]), kill_ok))
+            vp_i = _AND[inp.vp][_OR[_all([_NOT[s] for s in others])][kill_ok]]
             changed |= ch.drive_vp(vp_i)
             if vp_i == 1:
                 ch.put_data(inp.data)
-            changed |= ch.drive_sn(land(lnot(moved), lnot(vp_i)))
-        no_stop = land(*[lor(lnot(ch.sp), ch.vn) for ch in self.outputs])
-        changed |= inp.drive_sp(land(lnot(land(inp.vp, no_stop)), lnot(vn_in)))
+            changed |= ch.drive_sn(_AND[_NOT[moved]][_NOT[vp_i]])
+        no_stop = _all([_OR[_NOT[ch.sp]][ch.vn] for ch in self.outputs])
+        changed |= inp.drive_sp(_AND[_NOT[_AND[inp.vp][no_stop]]][_NOT[vn_in]])
         return changed
 
 
@@ -502,6 +615,13 @@ class Pipe(Controller):
     just a wire (Sect. 6: join/fork components are omitted for blocks
     with one input or output); only the payload is transformed.
     """
+
+    PORTS = {
+        "right.vp": ("left.vp",),
+        "right.sn": ("left.sn",),
+        "left.sp": ("right.sp",),
+        "left.vn": ("right.vn",),
+    }
 
     def __init__(
         self,
@@ -543,6 +663,13 @@ class PassiveAntiToken(Controller):
     channel.
     """
 
+    PORTS = {
+        "down.vp": ("up.vp",),
+        "down.sn": ("up.vp",),
+        "up.vn": (),
+        "up.sp": ("down.sp", "down.vn"),
+    }
+
     def __init__(self, name: str, up: Channel, down: Channel):
         super().__init__(name)
         self.up = up
@@ -552,15 +679,14 @@ class PassiveAntiToken(Controller):
         return (self.up, self.down)
 
     def evaluate(self) -> bool:
-        changed = False
         up, down = self.up, self.down
-        changed |= down.drive_vp(up.vp)
+        changed = down.drive_vp(up.vp)
         if up.vp == 1:
             down.put_data(up.data)
-        changed |= down.drive_sn(lnot(up.vp))
+        changed |= down.drive_sn(_NOT[up.vp])
         # Upstream never sees anti-tokens; a kill looks like a transfer.
         changed |= up.drive_vn(0)
-        changed |= up.drive_sp(land(down.sp, lnot(down.vn)))
+        changed |= up.drive_sp(_AND[down.sp][_NOT[down.vn]])
         return changed
 
 
@@ -581,6 +707,13 @@ class VariableLatency(Controller):
     """
 
     IDLE, BUSY, DONE = range(3)
+
+    PORTS = {
+        "right.vp": (),
+        "right.sn": ("left.sn", "left.vp"),
+        "left.vn": ("right.vn",),
+        "left.sp": ("right.sp", "right.vn"),
+    }
 
     def __init__(
         self,
@@ -609,13 +742,12 @@ class VariableLatency(Controller):
         return (self.left, self.right)
 
     def evaluate(self) -> bool:
-        changed = False
         left, right = self.left, self.right
         idle = self.state == self.IDLE
         done = self.state == self.DONE
         busy = self.state == self.BUSY
 
-        changed |= right.drive_vp(_b(done))
+        changed = right.drive_vp(done)
         if done:
             right.put_data(self.result)
         if busy:
@@ -626,8 +758,8 @@ class VariableLatency(Controller):
         elif done:
             changed |= right.drive_sn(0)
         else:  # idle: pass the anti-token through combinationally
-            changed |= right.drive_sn(land(left.sn, lnot(left.vp)))
-        changed |= left.drive_vn(land(right.vn, _b(idle)))
+            changed |= right.drive_sn(_AND[left.sn][_NOT[left.vp]])
+        changed |= left.drive_vn(right.vn if idle else 0)
         if idle:
             changed |= left.drive_sp(0)
         elif busy:
@@ -636,8 +768,8 @@ class VariableLatency(Controller):
             # done: accept a new operand in the cycle the result departs
             # (ack = output transfer or kill), like back-to-back go/ack
             # handshakes on the Fig. 7(b) interface.
-            released = lor(lnot(right.sp), right.vn)
-            changed |= left.drive_sp(lnot(released))
+            released = _OR[_NOT[right.sp]][right.vn]
+            changed |= left.drive_sp(_NOT[released])
         return changed
 
     def _start(self, payload: object) -> None:
@@ -694,6 +826,8 @@ class Source(Controller):
     ``S− = not V+``).
     """
 
+    PORTS = {"output.vp": (), "output.sn": ()}
+
     def __init__(
         self,
         name: str,
@@ -727,10 +861,10 @@ class Source(Controller):
                 self.current = self.data_fn(self.seq)
                 self.offer = True
         valid = self.pending or self.offer
-        changed = out.drive_vp(_b(valid))
+        changed = out.drive_vp(valid)
         if valid:
             out.put_data(self.current)
-        changed |= out.drive_sn(lnot(_b(valid)))
+        changed |= out.drive_sn(not valid)
         return changed
 
     def commit(self) -> None:
@@ -760,6 +894,8 @@ class Sink(Controller):
     cancel data inside the netlist.  Anti-token persistence (Retry−) is
     honoured.
     """
+
+    PORTS = {"input.sp": (), "input.vn": ()}
 
     def __init__(
         self,
@@ -800,8 +936,8 @@ class Sink(Controller):
                 else:
                     self._action = "accept"
         action = self._action
-        changed = ch.drive_vn(_b(action == "kill"))
-        changed |= ch.drive_sp(_b(action == "stall"))
+        changed = ch.drive_vn(action == "kill")
+        changed |= ch.drive_sp(action == "stall")
         return changed
 
     def commit(self) -> None:
@@ -819,17 +955,72 @@ class Sink(Controller):
         self._action = None
 
 
+def _components(graph: Dict[Wire, List[Wire]]) -> List[List[Wire]]:
+    """Strongly connected components of ``graph`` (node -> the nodes it
+    reads), inputs first (iterative Tarjan; deterministic in node order).
+    """
+    index: Dict[Wire, int] = {}
+    low: Dict[Wire, int] = {}
+    stack: List[Wire] = []
+    on_stack = set()
+    out: List[List[Wire]] = []
+    for root in graph:
+        if root in index:
+            continue
+        work = [(root, iter(graph[root]))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, edges = work[-1]
+            for nxt in edges:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(graph[nxt])))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        top = stack.pop()
+                        on_stack.discard(top)
+                        comp.append(top)
+                        if top == node:
+                            break
+                    out.append(comp[::-1])
+    return out
+
+
 # ----------------------------------------------------------------------
 # Network simulator
 # ----------------------------------------------------------------------
 class ElasticNetwork:
-    """Fixed-point simulator for a network of elastic controllers.
+    """Statically scheduled simulator for a network of elastic controllers.
 
-    Per cycle: reset all channel wires to X, run ``evaluate`` over all
-    controllers until no wire changes (the ternary equations are
-    monotone, so at most ``4 * |channels|`` sweeps suffice), check that
-    every wire settled, classify/record every channel, then ``commit``
-    all controllers.
+    Per cycle: reset all channel wires to X, run one ordered pass of
+    ``evaluate`` calls, check that every wire settled, classify/record
+    every channel, then ``commit`` all controllers.
+
+    The pass is built on the first :meth:`step` (and again after
+    :meth:`add` or :meth:`add_channel`) from the controllers' port
+    models (:meth:`Controller.port_model`).  Driven wires are nodes of a
+    graph whose edges are the declared reads; its strongly connected
+    components, in topological order, give the pass.  A wire outside
+    any cycle is computed by one ``evaluate`` of the controller driving
+    it once every wire it reads is known; a combinational cycle (for
+    example through a :class:`LazyFork`) is iterated until no wire
+    changes, at most ``4 * |channels| + 4`` times.  Controllers driving
+    no wire (such as probes) are skipped but still commit.  A network of
+    undeclared controllers is one component per connected group, which
+    is the plain fixed-point sweep.
     """
 
     def __init__(self, name: str = "network"):
@@ -844,6 +1035,10 @@ class ElasticNetwork:
         #: pays one truthiness check per cycle.  :mod:`repro.obs` uses
         #: this for occupancy sampling and metrics collection.
         self.probes: List[Callable[["ElasticNetwork"], None]] = []
+        #: the evaluation pass, built lazily by :meth:`_schedule`
+        self._pass: Optional[List[_Step]] = None
+        #: driven wire -> (component index, driving controllers)
+        self._components: Dict[Wire, Tuple[int, List[Controller]]] = {}
 
     def add_saboteur(
         self, saboteur: Callable[[int, Dict[str, Channel]], None]
@@ -878,6 +1073,7 @@ class ElasticNetwork:
             raise ValueError(f"duplicate channel {name!r}")
         ch = Channel(name, monitor=monitor, check_data=check_data)
         self.channels[name] = ch
+        self._pass = None
         return ch
 
     def add(self, controller: Controller) -> Controller:
@@ -888,25 +1084,128 @@ class ElasticNetwork:
                     f"{controller.name}: channel {ch.name!r} not registered"
                 )
         self.controllers.append(controller)
+        self._pass = None
         return controller
+
+    def _schedule(self) -> List[_Step]:
+        """Build the evaluation pass from the controllers' port models.
+
+        Returns ``(controllers, loop)`` steps: ``loop`` is ``None`` for
+        controllers evaluated once each, or the wires of a
+        combinational cycle whose controllers are iterated to a fixed point.
+        """
+        order = {id(c): i for i, c in enumerate(self.controllers)}
+        owners_of: Dict[Wire, List[Controller]] = {}
+        reads: Dict[Wire, Dict[Wire, None]] = {}
+        for ctrl in self.controllers:
+            for driven, deps in ctrl.port_model():
+                for wire in driven:
+                    owners = owners_of.setdefault(wire, [])
+                    if ctrl not in owners:
+                        owners.append(ctrl)
+                    reads.setdefault(wire, {}).update(dict.fromkeys(deps))
+        graph = {w: [d for d in reads[w] if d in owners_of] for w in owners_of}
+        components = _components(graph)
+
+        # ASAP level of each component: one past its deepest input.
+        comp_of = {w: i for i, comp in enumerate(components) for w in comp}
+        level: List[int] = []
+        for comp in components:
+            inner = set(comp)
+            level.append(1 + max(
+                (level[comp_of[d]] for w in comp for d in graph[w]
+                 if d not in inner), default=-1))
+        last = max(level, default=0)
+        # Latest level a wire may be computed at: before any reader.
+        deadline = {w: last for w in graph}
+        for w, deps in graph.items():
+            for d in deps:
+                deadline[d] = min(deadline[d], level[comp_of[w]] - 1)
+
+        # A singleton wire may be computed anywhere between its level
+        # and its deadline: pick, per controller, the fewest levels
+        # covering all its windows (greedy on the window ends).
+        windows: Dict[int, List[Tuple[int, int]]] = {}
+        loops: Dict[int, List[_Step]] = {}
+        self._components = {}
+        for i, comp in enumerate(components):
+            owners = sorted({id(c): c for w in comp for c in owners_of[w]}.values(),
+                            key=lambda c: order[id(c)])
+            for w in comp:
+                self._components[w] = (i, owners)
+            if len(comp) > 1 or comp[0] in graph[comp[0]]:
+                loops.setdefault(level[i], []).append((tuple(owners), comp))
+                continue
+            for ctrl in owners:
+                windows.setdefault(id(ctrl), []).append(
+                    (deadline[comp[0]], level[i]))
+        at: Dict[int, List[Controller]] = {}
+        for ctrl in self.controllers:
+            chosen = -1
+            for end, begin in sorted(windows.get(id(ctrl), ())):
+                if chosen < begin:
+                    chosen = end
+                    at.setdefault(end, []).append(ctrl)
+
+        steps: List[_Step] = []
+        for lvl in range(last + 1):
+            once = tuple(at.get(lvl, ()))
+            if once and steps and steps[-1][1] is None:
+                steps[-1] = (steps[-1][0] + once, None)
+            elif once:
+                steps.append((once, None))
+            steps.extend(loops.get(lvl, ()))
+        return steps
+
+    def _unsettled(self, wires: Sequence[Wire], why: str) -> ProtocolViolation:
+        """A located non-convergence error naming wires and components."""
+        groups: Dict[int, List[str]] = {}
+        owners: Dict[int, str] = {}
+        for wire in wires:
+            index, ctrls = self._components.get(wire, (-1, []))
+            groups.setdefault(index, []).append(f"{wire[0].name}.{wire[1]}")
+            owners[index] = (
+                "component of " + ", ".join(c.name for c in ctrls)
+                if ctrls else "undriven"
+            )
+        parts = [f"{', '.join(names)} ({owners[i]})"
+                 for i, names in groups.items()]
+        return ProtocolViolation(
+            f"{self.name}: fixed point not reached: {why}: " + "; ".join(parts)
+        )
 
     def step(self) -> None:
         """Simulate one clock cycle."""
-        for ch in self.channels.values():
+        channels = self.channels.values()
+        for ch in channels:
             ch.begin_cycle()
-        max_sweeps = 4 * len(self.channels) + 4
-        for _ in range(max_sweeps):
-            changed = False
-            for ctrl in self.controllers:
-                changed |= ctrl.evaluate()
-            if not changed:
-                break
-        else:
-            raise ProtocolViolation(f"{self.name}: fixed point not reached")
+        steps = self._pass
+        if steps is None:
+            steps = self._pass = self._schedule()
+        for ctrls, loop in steps:
+            if loop is None:
+                for ctrl in ctrls:
+                    ctrl.evaluate()
+                continue
+            for _ in range(4 * len(self.channels) + 4):
+                changed = False
+                for ctrl in ctrls:
+                    changed |= ctrl.evaluate()
+                if not changed:
+                    break
+            else:
+                raise self._unsettled(loop, "still changing")
         for saboteur in self._saboteurs:
             saboteur(self.cycle, self.channels)
-        for ch in self.channels.values():
-            ch.finish_cycle()
+        try:
+            for ch in channels:
+                ch.finish_cycle()
+        except ProtocolViolation:
+            if ch.settled():
+                raise
+            raise self._unsettled(
+                [(c, w) for c in channels for w in WIRES
+                 if getattr(c, w) is X], "still X") from None
         for ctrl in self.controllers:
             ctrl.commit()
         if self.probes:

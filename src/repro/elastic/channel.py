@@ -3,7 +3,7 @@
 A :class:`Channel` carries the four control wires ``{V+, S+, V−, S−}``
 plus a data payload.  Within a simulated cycle all wires start unknown
 (``X``) and are *driven* monotonically by the controllers at the two
-ends until the network reaches a fixed point:
+ends until every wire is known:
 
 * the **producer** end drives ``V+`` (and the data payload) and ``S−``;
 * the **consumer** end drives ``S+`` and ``V−``.
@@ -28,7 +28,7 @@ from repro.elastic.protocol import (
     ProtocolViolation,
     classify_dual,
 )
-from repro.rtl.logic import Value, X, is_known
+from repro.rtl.logic import Value, X
 
 
 @dataclass
@@ -119,35 +119,63 @@ class Channel:
     # ------------------------------------------------------------------
     # Driving (monotone: X -> known only; conflicting drives raise)
     # ------------------------------------------------------------------
-    def _drive(self, wire: str, value: Value) -> bool:
-        """Drive ``wire``; returns True if the wire value changed."""
-        if value is X:
-            return False
-        current = getattr(self, wire)
-        if current is X:
-            setattr(self, wire, 1 if value else 0)
-            return True
-        if (1 if value else 0) != current:
-            raise ProtocolViolation(
-                f"{self.name}.{wire}: conflicting drives {current} vs {value}"
-            )
-        return False
+    # Each wire has its own drive method: the engine calls these on
+    # every evaluation, so they read and write the attribute directly.
+    def _conflict(self, wire: str, current: Value, value: Value) -> ProtocolViolation:
+        return ProtocolViolation(
+            f"{self.name}.{wire}: conflicting drives {current} vs {value}"
+        )
 
     def drive_vp(self, value: Value) -> bool:
-        """Producer drives Valid+ (forward data valid)."""
-        return self._drive("vp", value)
+        """Producer drives Valid+ (forward data valid).
+
+        Returns True if the wire changed (X -> known).
+        """
+        if value is X:
+            return False
+        current = self.vp
+        if current is X:
+            self.vp = 1 if value else 0
+            return True
+        if (1 if value else 0) != current:
+            raise self._conflict("vp", current, value)
+        return False
 
     def drive_sp(self, value: Value) -> bool:
         """Consumer drives Stop+ (token back-pressure)."""
-        return self._drive("sp", value)
+        if value is X:
+            return False
+        current = self.sp
+        if current is X:
+            self.sp = 1 if value else 0
+            return True
+        if (1 if value else 0) != current:
+            raise self._conflict("sp", current, value)
+        return False
 
     def drive_vn(self, value: Value) -> bool:
         """Consumer drives Valid− (anti-token travelling backwards)."""
-        return self._drive("vn", value)
+        if value is X:
+            return False
+        current = self.vn
+        if current is X:
+            self.vn = 1 if value else 0
+            return True
+        if (1 if value else 0) != current:
+            raise self._conflict("vn", current, value)
+        return False
 
     def drive_sn(self, value: Value) -> bool:
         """Producer drives Stop− (anti-token back-pressure)."""
-        return self._drive("sn", value)
+        if value is X:
+            return False
+        current = self.sn
+        if current is X:
+            self.sn = 1 if value else 0
+            return True
+        if (1 if value else 0) != current:
+            raise self._conflict("sn", current, value)
+        return False
 
     def put_data(self, payload: object) -> None:
         """Producer attaches the payload accompanying ``V+``."""
@@ -171,7 +199,9 @@ class Channel:
     # ------------------------------------------------------------------
     def settled(self) -> bool:
         """True once all four wires are known."""
-        return all(is_known(w) for w in (self.vp, self.sp, self.vn, self.sn))
+        return not (
+            self.vp is X or self.sp is X or self.vn is X or self.sn is X
+        )
 
     def require_settled(self) -> None:
         if not self.settled():
@@ -208,7 +238,8 @@ class Channel:
 
     def finish_cycle(self) -> DualChannelEvent:
         """Classify and record the settled cycle."""
-        self.require_settled()
+        if self.vp is X or self.sp is X or self.vn is X or self.sn is X:
+            self.require_settled()
         for observer in self.observers:
             observer(self)
         if self.monitor is not None:

@@ -40,6 +40,13 @@ class ScriptedEnd(Controller):
         self.values: Tuple[int, int] = (0, 0)
         self.data: object = None
 
+    @property
+    def PORTS(self) -> Dict[str, Tuple[str, ...]]:
+        """Its two wires, from the scripted values only."""
+        if self.side == "producer":
+            return {"channel.vp": (), "channel.sn": ()}
+        return {"channel.sp": (), "channel.vn": ()}
+
     def channels(self) -> Sequence[Channel]:
         return (self.channel,)
 

@@ -51,7 +51,7 @@ class TestSettling:
 
     def test_event_predicates(self, ch):
         for wire, value in (("vp", 1), ("sp", 0), ("vn", 0), ("sn", 0)):
-            ch._drive(wire, value)
+            getattr(ch, f"drive_{wire}")(value)
         assert ch.pos_transfer and not ch.neg_transfer and not ch.kill
 
 
@@ -75,12 +75,12 @@ class TestLifecycle:
         c = Channel("m")
         c.begin_cycle()
         for wire, value in (("vp", 1), ("sp", 1), ("vn", 0), ("sn", 0)):
-            c._drive(wire, value)
+            getattr(c, f"drive_{wire}")(value)
         c.put_data("a")
         c.finish_cycle()
         c.begin_cycle()
         for wire, value in (("vp", 0), ("sp", 0), ("vn", 0), ("sn", 0)):
-            c._drive(wire, value)
+            getattr(c, f"drive_{wire}")(value)
         with pytest.raises(ProtocolViolation):
             c.finish_cycle()
 

@@ -130,8 +130,15 @@ class TestFixedPoint:
         net = ElasticNetwork()
         ch = net.add_channel("c")
         net.add(Lazy(ch))
-        with pytest.raises(ProtocolViolation):
+        with pytest.raises(ProtocolViolation) as excinfo:
             net.step()
+        # The error names every unsettled wire and the controllers of
+        # its combinational component.
+        message = str(excinfo.value)
+        assert message.startswith("network: fixed point not reached")
+        for wire in ("c.vp", "c.sp", "c.vn", "c.sn"):
+            assert wire in message
+        assert "component of lazy" in message
 
     def test_report_lists_channels(self):
         net, _ = pipeline(2)
