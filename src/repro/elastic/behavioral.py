@@ -51,6 +51,7 @@ from repro.elastic.channel import Channel
 from repro.elastic.ee import AndEE, EarlyEvalFunction
 from repro.elastic.protocol import ProtocolViolation
 from repro.rtl.logic import Value, X
+from repro.rtl.toposort import strong_components
 
 #: The four control wires of a channel (its attribute names).
 WIRES = ("vp", "sp", "vn", "sn")
@@ -955,50 +956,6 @@ class Sink(Controller):
         self._action = None
 
 
-def _components(graph: Dict[Wire, List[Wire]]) -> List[List[Wire]]:
-    """Strongly connected components of ``graph`` (node -> the nodes it
-    reads), inputs first (iterative Tarjan; deterministic in node order).
-    """
-    index: Dict[Wire, int] = {}
-    low: Dict[Wire, int] = {}
-    stack: List[Wire] = []
-    on_stack = set()
-    out: List[List[Wire]] = []
-    for root in graph:
-        if root in index:
-            continue
-        work = [(root, iter(graph[root]))]
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, edges = work[-1]
-            for nxt in edges:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(graph[nxt])))
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        top = stack.pop()
-                        on_stack.discard(top)
-                        comp.append(top)
-                        if top == node:
-                            break
-                    out.append(comp[::-1])
-    return out
-
-
 # ----------------------------------------------------------------------
 # Network simulator
 # ----------------------------------------------------------------------
@@ -1105,7 +1062,7 @@ class ElasticNetwork:
                         owners.append(ctrl)
                     reads.setdefault(wire, {}).update(dict.fromkeys(deps))
         graph = {w: [d for d in reads[w] if d in owners_of] for w in owners_of}
-        components = _components(graph)
+        components = strong_components(graph)
 
         # ASAP level of each component: one past its deepest input.
         comp_of = {w: i for i, comp in enumerate(components) for w in comp}

@@ -15,7 +15,8 @@ The subsystem has four layers:
   (``lanes``) and process-sharded (``jobs``);
 * :mod:`repro.faults.batch` -- the bit-parallel campaign backend:
   word-wide monitor bank and 64-injections-per-pass harness over
-  :class:`repro.rtl.BatchSimulator`, plus one-fault/many-seeds sweeps;
+  :class:`repro.rtl.batchsim.BatchSimulator`, plus one-fault/many-seeds
+  sweeps;
 * :mod:`repro.faults.shrink` -- ddmin minimisation of failing
   schedules, rendered as counterexample traces.
 """

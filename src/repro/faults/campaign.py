@@ -76,7 +76,7 @@ from repro.faults.targets import TARGETS, RtlTarget
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.supervisor import ShardSupervisor, SupervisorConfig
 from repro.rtl.logic import Value
-from repro.rtl.simulator import TwoPhaseSimulator
+from repro.rtl.simulator import Override, State, TwoPhaseSimulator
 from repro.verif.traces import TraceStep
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -328,36 +328,61 @@ def prove_untestable(target: RtlTarget, injection: Injection) -> bool:
     Conservative: returns False (i.e. "maybe testable") when the DUT
     state lives in latches or the enumeration would be too large.
     """
-    nl = target.netlist
-    sites = set(target.fault_sites)
-    if any(q in nl.latches for q in sites):
-        return False
-    state_bits = [q for q in target.fault_sites if q in nl.flops]
-    boundary = [
-        w for ch in target.channels for w in ch.wires() if w not in sites
-    ]
-    outputs = [
-        w for ch in target.channels for w in ch.wires() if w in sites
-    ]
-    if len(state_bits) + len(boundary) > 16:
-        return False
-    sim = TwoPhaseSimulator(nl)
-    base_state = sim.initial_state()
-    fault_override = injection.override()
-    for bits in itertools.product((0, 1), repeat=len(state_bits)):
-        state = dict(base_state)
-        state.update(zip(state_bits, bits))
-        for env_bits in itertools.product((0, 1), repeat=len(boundary)):
-            env = dict(zip(boundary, env_bits))
-            sim.overrides = env
-            good_vals, good_next = sim.step_function(state, {})
-            sim.overrides = {**env, injection.net: fault_override}
-            bad_vals, bad_next = sim.step_function(state, {})
-            if any(good_vals.get(w) != bad_vals.get(w) for w in outputs):
-                return False
-            if any(good_next.get(q) != bad_next.get(q) for q in state_bits):
-                return False
-    return True
+    return _UntestableProver(target)(injection)
+
+
+class _UntestableProver:
+    """:func:`prove_untestable` for many injections into one target.
+
+    The simulator is built once.  The fault-free step of each (state
+    bits, boundary bits) pair is computed once and shared by every
+    injection, and so is each verdict: the proof reads only the faulty
+    net and the fault kind, never the injection cycle.
+    """
+
+    def __init__(self, target: RtlTarget) -> None:
+        nl = target.netlist
+        sites = set(target.fault_sites)
+        self.state_bits = [q for q in target.fault_sites if q in nl.flops]
+        self.boundary = [
+            w for ch in target.channels for w in ch.wires() if w not in sites
+        ]
+        self.outputs = [
+            w for ch in target.channels for w in ch.wires() if w in sites
+        ]
+        latched = any(q in nl.latches for q in sites)
+        small = len(self.state_bits) + len(self.boundary) <= 16
+        self.sim = TwoPhaseSimulator(nl) if small and not latched else None
+        self._good: Dict[tuple, tuple] = {}
+        self._verdicts: Dict[Tuple[str, str], bool] = {}
+
+    def __call__(self, injection: Injection) -> bool:
+        key = (injection.net, injection.kind)
+        if key not in self._verdicts:
+            self._verdicts[key] = self.sim is not None and self._prove(
+                injection.net, injection.override())
+        return self._verdicts[key]
+
+    def _observe(self, state: State, overrides: Dict[str, Override]) -> tuple:
+        """The DUT outputs and next state bits of one step."""
+        self.sim.overrides = overrides
+        vals, nxt = self.sim.step_function(state, {})
+        return (tuple(map(vals.get, self.outputs)),
+                tuple(map(nxt.get, self.state_bits)))
+
+    def _prove(self, net: str, fault: Override) -> bool:
+        base_state = self.sim.initial_state()
+        for bits in itertools.product((0, 1), repeat=len(self.state_bits)):
+            state = dict(base_state)
+            state.update(zip(self.state_bits, bits))
+            for env_bits in itertools.product((0, 1), repeat=len(self.boundary)):
+                env = dict(zip(self.boundary, env_bits))
+                good = self._good.get((bits, env_bits))
+                if good is None:
+                    good = self._good[bits, env_bits] = self._observe(state, env)
+                if self._observe(state, {**env, net: fault}) != good:
+                    return False
+        return True
 
 
 def resolve_target(target: Union[str, RtlTarget]) -> RtlTarget:
@@ -473,13 +498,15 @@ def _apply_untestable_analysis(
 
     A shared post-pass over (injection, outcome) pairs so sequential,
     lane-sharded and process-sharded campaigns run the identical
-    analysis on the identical inputs.
+    analysis on the identical inputs.  One prover serves the whole
+    sweep, so the fault-free steps are shared across injections.
     """
     if not cfg.untestable_analysis:
         return list(outcomes)
+    prover = _UntestableProver(tgt)
     final: List[FaultOutcome] = []
     for injection, outcome in zip(injections, outcomes):
-        if outcome.status == "undetected" and prove_untestable(tgt, injection):
+        if outcome.status == "undetected" and prover(injection):
             outcome = FaultOutcome(
                 fault=outcome.fault,
                 status="untestable",

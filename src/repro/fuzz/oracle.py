@@ -196,7 +196,11 @@ def _gate_differential(
                     f"cycle {t} wire {wire}: scalar={want!r} "
                     f"batch[0]={got!r}",
                 )
-            if compiled is not None:
+            # One word compare per wire; the per-lane loop below alone
+            # decides a finding, so stray plane bits cannot forge one.
+            if compiled is not None and (
+                compiled.planes(wire) != batch.planes(wire)
+            ):
                 for lane in range(lanes):
                     c = compiled.lane_value(wire, lane)
                     if c != batch.lane_value(wire, lane):

@@ -212,9 +212,10 @@ def _join(a: Value, b: Value) -> Value:
 def _eval_op(op: str, ins: Sequence[Value]) -> Value:
     """Ternary evaluation of one gate op over resolved input values.
 
-    Mirrors the scalar simulator's ``_eval_gate`` dispatch exactly (one
-    semantics, two drivers); the witness replay below re-runs findings
-    through this same table.
+    The ternary semantics of :mod:`repro.rtl.logic`, as the scalar
+    simulator evaluates them; :func:`constant_values`, the legacy
+    :func:`_constant_fixpoint` and the witness replay below all
+    evaluate gates through this one table.
     """
     if op == "AND":
         return land(*ins)
@@ -299,8 +300,6 @@ def _constant_fixpoint(nl: Netlist) -> Dict[str, Value]:
     engine-based re-implementation against (and the tests assert both
     agree on every design).
     """
-    from repro.rtl.simulator import _eval_gate
-
     state: Dict[str, Value] = {}
     for q, latch in nl.latches.items():
         state[q] = latch.init
@@ -314,7 +313,7 @@ def _constant_fixpoint(nl: Netlist) -> Dict[str, Value]:
         for _ in range(len(nl.gates) + 2):  # combinational fixpoint
             changed = False
             for out, gate in nl.gates.items():
-                new = _eval_gate(gate, vals)
+                new = _eval_op(gate.op, [vals.get(i, X) for i in gate.ins])
                 old = vals.get(out, X)
                 if new is not old and new != old:
                     vals[out] = new

@@ -7,11 +7,13 @@ tool chain at the structural level:
 * :mod:`repro.rtl.netlist` -- netlists of gates, transparent latches
   (active-high ``H`` or active-low ``L`` phase) and flip-flops.
 * :mod:`repro.rtl.simulator` -- two-phase cycle simulation with
-  X-propagation and combinational-cycle handling via ternary fixed
-  points.
+  X-propagation: one levelized pass per phase, with ternary fixed
+  points only on real combinational cycles.
 * :mod:`repro.rtl.batchsim` -- bit-parallel 64-lane two-phase
   simulation (one bit per lane in a two-plane value/known word pair),
-  compiled into flat per-phase instruction lists.
+  compiled into flat per-phase instruction lists.  Import it by its
+  module path: the package does not load it, so importing the scalar
+  reference simulator never pulls in the lane engines it checks.
 * :mod:`repro.rtl.toposort` -- per-phase topological orders and
   combinational-cycle extraction shared by both simulators.
 * :mod:`repro.rtl.area` -- constant propagation, dead-logic removal and
@@ -21,14 +23,6 @@ tool chain at the structural level:
 from repro.rtl.logic import AND, NOT, OR, X, lnot, land, lor, lxor, is_known
 from repro.rtl.netlist import Gate, Latch, FlipFlop, Netlist, Phase
 from repro.rtl.simulator import TwoPhaseSimulator, CombinationalCycleError
-from repro.rtl.batchsim import (
-    BatchSimulator,
-    LaneOverride,
-    broadcast,
-    pack_stimulus,
-    pack_values,
-    unpack_lane,
-)
 from repro.rtl.toposort import find_combinational_cycle, topo_order
 from repro.rtl.area import AreaReport, constant_propagate, count_area, prune_dead
 from repro.rtl.export import channel_specs_smv, to_blif, to_smv, to_verilog
@@ -50,12 +44,6 @@ __all__ = [
     "Phase",
     "TwoPhaseSimulator",
     "CombinationalCycleError",
-    "BatchSimulator",
-    "LaneOverride",
-    "broadcast",
-    "pack_stimulus",
-    "pack_values",
-    "unpack_lane",
     "find_combinational_cycle",
     "topo_order",
     "AreaReport",

@@ -26,8 +26,9 @@ MUX    known select steers; an X select still resolves lanes where
        :func:`repro.rtl.logic.lmux`)
 =====  =============================================================
 
-Unlike :class:`~repro.rtl.simulator.TwoPhaseSimulator`, which iterates a
-ternary fixed point, the batch kernel is compiled: each clock phase
+Unlike :class:`~repro.rtl.simulator.TwoPhaseSimulator`, which
+interprets a levelized program and iterates a ternary fixed point on
+any combinational cycle, the batch kernel is compiled: each clock phase
 becomes a flat topologically-sorted instruction list (variadic gates
 decomposed into binary chains through temporaries), so every gate is
 evaluated exactly once per phase for all lanes.  Compilation therefore

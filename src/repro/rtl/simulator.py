@@ -11,22 +11,39 @@ clock cycle is therefore simulated as two phases:
    capture and flip-flops capture their ``d`` (a flip-flop triggers on
    the next rising edge, i.e. the upcoming cycle boundary).
 
-Within a phase, combinational values are computed as the least fixed
-point of the ternary (0/1/X) gate functions starting from all-X.  This
-is the classical ternary simulation: it is exact for acyclic logic and
-conservatively reports ``X`` for truly unresolvable combinational
-cycles.  The paper takes care to place the token-cancellation gates at
-EHB boundaries precisely so that no such cycles arise; the simulator
-verifies this claim (`strict_x=True` raises on unresolved signals).
+Within a phase, combinational values are the least fixed point of the
+ternary (0/1/X) gate functions starting from all-X -- the classical
+ternary simulation.  The simulator computes it with a *levelized*
+program built once per netlist.  A phase's nodes are its gates plus
+the latches transparent in it (inlined as buffers); their strongly
+connected components are evaluated inputs-first.  A singleton
+component is evaluated exactly once, which is exact for acyclic logic.
+Only a real combinational cycle is iterated, to its fixed point, which
+conservatively leaves ``X`` on a truly unresolvable loop.  The ternary
+gates (and the shipped ``0``/``1``/``lnot`` overrides) are monotone, so
+that fixed point does not depend on the evaluation order.
+
+The paper takes care to place the token-cancellation gates at EHB
+boundaries precisely so that no such cycles arise; the simulator
+verifies this claim (``strict_x=True`` raises on unresolved signals).
+
+This engine is the reference the lane-parallel engines are checked
+against, so it shares no code with them: it imports neither
+:mod:`repro.codegen` nor :mod:`repro.rtl.batchsim`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.rtl.logic import Value, X, is_known, land, lmux, lnot, lor, lxor
-from repro.rtl.netlist import FlipFlop, Gate, Latch, Netlist, Phase
-from repro.rtl.toposort import CombinationalCycleError, find_combinational_cycle
+from repro.rtl.logic import Value, X, is_known
+from repro.rtl.netlist import Netlist, Phase
+from repro.rtl.toposort import (
+    CombinationalCycleError,
+    find_combinational_cycle,
+    phase_nodes,
+    strong_components,
+)
 
 __all__ = [
     "CombinationalCycleError",
@@ -43,35 +60,141 @@ Values = Dict[str, Value]
 #: fault-free value (e.g. ``lnot`` for a bit-flip).
 Override = Union[int, Callable[[Value], Value]]
 
+# Node opcodes.  A transparent latch is a ``_BUF``: like ``BUF`` it
+# passes its raw input value through.
+_AND, _OR, _NOT, _BUF, _MUX, _NAND, _NOR, _XOR, _C0, _C1 = range(10)
+_OPCODES = {
+    "AND": _AND, "OR": _OR, "NOT": _NOT, "BUF": _BUF, "MUX": _MUX,
+    "NAND": _NAND, "NOR": _NOR, "XOR": _XOR, "CONST0": _C0, "CONST1": _C1,
+}
 
-def _apply_override(override: Override, value: Value) -> Value:
-    return override(value) if callable(override) else override
+#: One node: ``(opcode, output slot, input slots)``.
+_Step = Tuple[int, int, Tuple[int, ...]]
 
 
-def _eval_gate(gate: Gate, vals: Mapping[str, Value]) -> Value:
-    ins = [vals.get(i, X) for i in gate.ins]
-    op = gate.op
-    if op == "AND":
-        return land(*ins)
-    if op == "OR":
-        return lor(*ins)
-    if op == "NOT":
-        return lnot(ins[0])
-    if op == "NAND":
-        return lnot(land(*ins))
-    if op == "NOR":
-        return lnot(lor(*ins))
-    if op == "XOR":
-        return lxor(ins[0], ins[1])
-    if op == "MUX":
-        return lmux(ins[0], ins[1], ins[2])
-    if op == "BUF":
-        return ins[0]
-    if op == "CONST0":
-        return 0
-    if op == "CONST1":
-        return 1
-    raise AssertionError(f"unhandled op {op}")
+class _PhaseProgram:
+    """The levelized evaluation of one clock phase.
+
+    ``blocks`` are ``(steps, passes)`` in dependency order: a run of
+    singleton components is one block evaluated once (``passes == 1``);
+    a combinational cycle is a block swept until nothing changes, at
+    most ``passes`` times.  ``held`` are the ``(name, slot)`` pairs read
+    from the state (flops and opaque latches), ``captures`` those of the
+    transparent latches, stored at the end of the phase; ``nodes`` the
+    slots the blocks drive.
+    """
+
+    __slots__ = ("blocks", "captures", "held", "nodes")
+
+    def __init__(self, netlist: Netlist, phase: Phase, slot: Dict[str, int],
+                 undriven: int) -> None:
+        graph = phase_nodes(netlist, phase)
+        self.nodes = frozenset(slot[n] for n in graph)
+        self.held: Tuple[Tuple[str, int], ...] = tuple(
+            (q, slot[q]) for q in list(netlist.flops) + list(netlist.latches)
+            if q not in graph
+        )
+        self.captures: Tuple[Tuple[str, int], ...] = tuple(
+            (q, slot[q]) for q in netlist.latches if q in graph
+        )
+
+        def step(name: str) -> _Step:
+            gate = netlist.gates.get(name)
+            code = _BUF if gate is None else _OPCODES[gate.op]
+            ins = graph[name]
+            return code, slot[name], tuple(slot.get(i, undriven) for i in ins)
+
+        self.blocks: List[Tuple[List[_Step], int]] = []
+        run: List[_Step] = []
+        for comp in strong_components(graph):
+            if len(comp) == 1 and comp[0] not in graph[comp[0]]:
+                run.append(step(comp[0]))
+                continue
+            if run:
+                self.blocks.append((run, 1))
+                run = []
+            # Monotone gates change each node at most once (X -> 0/1),
+            # so len(comp) + 1 sweeps always reach the fixed point.
+            self.blocks.append(([step(n) for n in comp], len(comp) + 2))
+        if run:
+            self.blocks.append((run, 1))
+
+
+def _sweep(steps: List[_Step], vals: List[Value],
+           node_ov: Optional[Dict[int, Override]]) -> bool:
+    """Evaluate ``steps`` once, in order; True when any node changed.
+
+    The ternary semantics of :mod:`repro.rtl.logic`: truthy ints count
+    as 1, and ``BUF`` (so also a transparent latch) passes its raw
+    input value through.
+    """
+    changed = False
+    for code, out, ins in steps:
+        if code <= _BUF:
+            if code == _AND:
+                r = 1
+                for i in ins:
+                    v = vals[i]
+                    if v is X:
+                        r = X
+                    elif not v:
+                        r = 0
+                        break
+            elif code == _OR:
+                r = 0
+                for i in ins:
+                    v = vals[i]
+                    if v is X:
+                        r = X
+                    elif v:
+                        r = 1
+                        break
+            elif code == _NOT:
+                v = vals[ins[0]]
+                r = X if v is X else (0 if v else 1)
+            else:
+                r = vals[ins[0]]
+        elif code == _MUX:
+            s, a, b = vals[ins[0]], vals[ins[1]], vals[ins[2]]
+            if a is not X:
+                a = 1 if a else 0
+            if b is not X:
+                b = 1 if b else 0
+            if s is X:
+                r = a if a is not X and a == b else X
+            else:
+                r = a if s else b
+        elif code == _NAND:
+            r = 0
+            for i in ins:
+                v = vals[i]
+                if v is X:
+                    r = X
+                elif not v:
+                    r = 1
+                    break
+        elif code == _NOR:
+            r = 1
+            for i in ins:
+                v = vals[i]
+                if v is X:
+                    r = X
+                elif v:
+                    r = 0
+                    break
+        elif code == _XOR:
+            a, b = vals[ins[0]], vals[ins[1]]
+            r = X if a is X or b is X else (1 if a else 0) ^ (1 if b else 0)
+        else:
+            r = 0 if code == _C0 else 1
+        if node_ov and out in node_ov:
+            o = node_ov[out]
+            r = o(r) if callable(o) else o
+        old = vals[out]
+        if r is not old and (old is X or r != old):
+            vals[out] = r
+            changed = True
+    return changed
 
 
 class TwoPhaseSimulator:
@@ -101,7 +224,7 @@ class TwoPhaseSimulator:
         #: override is removed.  The mapping may be mutated between
         #: cycles; :mod:`repro.faults` drives it per injection schedule.
         self.overrides: Dict[str, Override] = dict(overrides or {})
-        self._order = self._schedule()
+        self._compile()
         self.state: State = self.initial_state()
         self.values: Values = {}
         self.time = 0
@@ -110,6 +233,28 @@ class TwoPhaseSimulator:
         #: its settled values.  Empty by default (one truthiness check
         #: per cycle); :mod:`repro.obs` attaches trace recorders here.
         self.observers: List[Callable[[int, Values], None]] = []
+
+    def _compile(self) -> None:
+        """Assign every driven signal an integer slot, and levelize.
+
+        Slots follow the netlist's declaration order (inputs, flops,
+        latches, gates); one extra trailing slot holds a constant ``X``
+        for reads of undriven signals.
+        """
+        nl = self.netlist
+        names = list(nl.inputs) + list(nl.flops) + list(nl.latches) + list(nl.gates)
+        self._names = tuple(names)
+        self._slot = {name: i for i, name in enumerate(names)}
+        undriven = len(names)
+        self._size = undriven + 1
+        self._input_slots = tuple((n, self._slot[n]) for n in nl.inputs)
+        self._programs = {
+            phase: _PhaseProgram(nl, phase, self._slot, undriven)
+            for phase in (Phase.HIGH, Phase.LOW)
+        }
+        self._flop_d = tuple(
+            (q, self._slot.get(flop.d, undriven)) for q, flop in nl.flops.items()
+        )
 
     # ------------------------------------------------------------------
     def initial_state(self) -> State:
@@ -127,95 +272,40 @@ class TwoPhaseSimulator:
         self.values = {}
         self.time = 0
 
-    def _schedule(self) -> List[str]:
-        """A quasi-topological gate order for fast fixed-point passes.
-
-        Orders gate outputs by depth-first post-order over fan-in edges,
-        treating latches and flops as cuts.  For acyclic combinational
-        logic one pass over this order reaches the fixed point; cyclic
-        logic simply needs extra passes.
-        """
-        nl = self.netlist
-        order: List[str] = []
-        seen: Set[str] = set()
-        # Iterative DFS to avoid recursion limits on deep netlists.
-        for root in nl.gates:
-            if root in seen:
-                continue
-            stack: List[Tuple[str, int]] = [(root, 0)]
-            path: Set[str] = set()
-            while stack:
-                sig, idx = stack.pop()
-                if idx == 0:
-                    if sig in seen or sig not in nl.gates:
-                        continue
-                    path.add(sig)
-                fanin = nl.gates[sig].ins
-                if idx < len(fanin):
-                    stack.append((sig, idx + 1))
-                    child = fanin[idx]
-                    if child in nl.gates and child not in seen and child not in path:
-                        stack.append((child, 0))
-                else:
-                    path.discard(sig)
-                    if sig not in seen:
-                        seen.add(sig)
-                        order.append(sig)
-        return order
-
     # ------------------------------------------------------------------
     def _phase_values(
         self,
         inputs: Mapping[str, Value],
         state: Mapping[str, Value],
         phase: Phase,
-    ) -> Values:
-        """Least ternary fixed point of one clock phase."""
-        nl = self.netlist
+    ) -> List[Value]:
+        """Least ternary fixed point of one clock phase, by slot."""
+        prog = self._programs[phase]
+        vals: List[Value] = [X] * self._size
+        get = inputs.get
+        for sig, i in self._input_slots:
+            vals[i] = get(sig, X)
+        for q, i in prog.held:
+            vals[i] = state[q]
+        node_ov: Optional[Dict[int, Override]] = None
         ov = self.overrides
-        vals: Values = {}
-        for sig in nl.inputs:
-            v = inputs.get(sig, X)
-            if ov and sig in ov:
-                v = _apply_override(ov[sig], v)
-            vals[sig] = v
-        for q in nl.flops:
-            v = state[q]
-            if ov and q in ov:
-                v = _apply_override(ov[q], v)
-            vals[q] = v
-        transparent: List[Latch] = []
-        for q, latch in nl.latches.items():
-            if latch.phase == phase:
-                transparent.append(latch)
-                vals[q] = X
-            else:
-                v = state[q]
-                if ov and q in ov:
-                    v = _apply_override(ov[q], v)
-                vals[q] = v
-        for out in self._order:
-            vals[out] = X
-
-        max_passes = len(self._order) + len(transparent) + 2
-        for _ in range(max_passes):
-            changed = False
-            for out in self._order:
-                new = _eval_gate(nl.gates[out], vals)
-                if ov and out in ov:
-                    new = _apply_override(ov[out], new)
-                if new is not vals[out] and new != vals[out]:
-                    vals[out] = new
-                    changed = True
-            for latch in transparent:
-                new = vals.get(latch.d, X)
-                if ov and latch.q in ov:
-                    new = _apply_override(ov[latch.q], new)
-                if new is not vals[latch.q] and new != vals[latch.q]:
-                    vals[latch.q] = new
-                    changed = True
-            if not changed:
-                break
+        if ov:
+            # Sources are forced once here; node outputs as they are
+            # evaluated.  Overrides on undriven names are never read.
+            node_ov = {}
+            slot_of = self._slot
+            for sig, o in ov.items():
+                i = slot_of.get(sig)
+                if i is None:
+                    continue
+                if i in prog.nodes:
+                    node_ov[i] = o
+                else:
+                    vals[i] = o(vals[i]) if callable(o) else o
+        for steps, passes in prog.blocks:
+            for _ in range(passes):
+                if not _sweep(steps, vals, node_ov):
+                    break
         return vals
 
     def step_function(
@@ -232,20 +322,19 @@ class TwoPhaseSimulator:
             values observed at the end of the LOW phase (the cycle
             boundary) and ``next_state`` the captured latch/flop values.
         """
-        nl = self.netlist
-        high_vals = self._phase_values(inputs, state, Phase.HIGH)
+        high = self._phase_values(inputs, state, Phase.HIGH)
         mid_state: State = dict(state)
-        for q, latch in nl.latches.items():
-            if latch.phase == Phase.HIGH:
-                mid_state[q] = high_vals[q]
-        low_vals = self._phase_values(inputs, mid_state, Phase.LOW)
+        for q, i in self._programs[Phase.HIGH].captures:
+            mid_state[q] = high[i]
+        low = self._phase_values(inputs, mid_state, Phase.LOW)
         next_state: State = dict(mid_state)
-        for q, latch in nl.latches.items():
-            if latch.phase == Phase.LOW:
-                next_state[q] = low_vals[q]
-        for q, flop in nl.flops.items():
-            next_state[q] = low_vals.get(flop.d, X)
+        for q, i in self._programs[Phase.LOW].captures:
+            next_state[q] = low[i]
+        for q, i in self._flop_d:
+            next_state[q] = low[i]
+        low_vals: Values = dict(zip(self._names, low))
         if self.strict_x:
+            nl = self.netlist
             unresolved = [
                 s
                 for s, v in low_vals.items()

@@ -9,14 +9,17 @@ this graph:
   a flat instruction list and therefore *requires* the graph to be
   acyclic -- :func:`topo_order` raises :class:`CombinationalCycleError`
   naming the full cycle path otherwise;
-* :class:`~repro.rtl.simulator.TwoPhaseSimulator` tolerates cycles via
-  ternary fixed points, but in ``strict_x`` mode it uses
+* :class:`~repro.rtl.simulator.TwoPhaseSimulator` levelizes each phase
+  by its :func:`strong_components` and iterates a ternary fixed point
+  only inside a real combinational cycle; in ``strict_x`` mode it uses
   :func:`find_combinational_cycle` to report the same full cycle path
   instead of a bare list of unresolved nets.
 
-The core walk is :func:`order_or_cycle`, a plain dependency-graph
-routine with no netlist knowledge; the resilience watchdogs reuse it to
-find the cycle of mutually-blocked Stop wires in a stalled network.
+The core walks are :func:`order_or_cycle` and :func:`strong_components`,
+plain dependency-graph routines with no netlist knowledge.  The
+resilience watchdogs reuse the first to find the cycle of
+mutually-blocked Stop wires in a stalled network; the behavioural
+engine's static schedule is built on the second.
 
 Cycle paths are canonical (rotated so the lexicographically smallest
 signal comes first, listed in signal-flow order), so the two simulators
@@ -25,7 +28,7 @@ produce byte-identical diagnostics for the same netlist.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.rtl.netlist import Netlist, Phase
 
@@ -147,6 +150,61 @@ def order_or_cycle(
                 path_set.discard(sig)
                 path_list.pop()
     return order, None
+
+
+def strong_components(
+    graph: Mapping[Hashable, Iterable[Hashable]],
+) -> List[List[Hashable]]:
+    """Strongly connected components of a dependency graph, inputs first.
+
+    ``graph`` maps each node to the nodes it reads; entries that are not
+    themselves nodes are sources and are skipped, as in
+    :func:`order_or_cycle`.  Every component comes after all components
+    it reads from, so evaluating them in the returned order needs a
+    fixed point only inside a component with more than one node (or a
+    node that reads itself).  Iterative Tarjan, deterministic in node
+    and dependency order.
+    """
+    index: Dict[Hashable, int] = {}
+    low: Dict[Hashable, int] = {}
+    stack: List[Hashable] = []
+    on_stack = set()
+    out: List[List[Hashable]] = []
+    for root in graph:
+        if root in index:
+            continue
+        work = [(root, iter(graph[root]))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, edges = work[-1]
+            for nxt in edges:
+                if nxt not in graph:
+                    continue
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(graph[nxt])))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        top = stack.pop()
+                        on_stack.discard(top)
+                        comp.append(top)
+                        if top == node:
+                            break
+                    out.append(comp[::-1])
+    return out
 
 
 def topo_order(netlist: Netlist, phase: Phase) -> List[str]:

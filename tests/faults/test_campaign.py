@@ -14,6 +14,7 @@ from repro.faults.campaign import (
     resolve_target,
     run_campaign,
     run_processor_campaign,
+    _UntestableProver,
 )
 from repro.faults.models import Injection
 from repro.faults.targets import TARGETS, dual_ehb
@@ -79,6 +80,17 @@ class TestUntestabilityProof:
     def test_testable_fault_is_not_proven(self):
         target = dual_ehb()
         assert not prove_untestable(target, Injection("eb.t0", "stuck1"))
+
+    @pytest.mark.parametrize("name", ["dual_ehb", "vl", "passive"])
+    def test_shared_prover_matches_one_shot_proofs(self, name):
+        # One prover serves a whole sweep, in any order; its shared
+        # fault-free steps and verdicts must not leak between faults.
+        target = TARGETS[name]()
+        injections = enumerate_injections(target, CONFIG)[::-1]
+        prover = _UntestableProver(target)
+        shared = [prover(i) for i in injections]
+        assert shared == [prove_untestable(target, i) for i in injections]
+        assert any(shared)
 
 
 class TestDeterminism:
