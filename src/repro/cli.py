@@ -20,11 +20,11 @@ Usage (after ``pip install -e .``)::
                              [--progress]
                              [--checkpoint dir] [--resume dir]
                              [--shard-timeout 60] [--max-retries 2]
-                             [--backend batch|compiled] [--cache dir]
+                             [--lanes 64] [--jobs 2] [--cache dir]
                              [--workers host:port,host:port]
                              [--fabric-checkpoint dir]
     python -m repro profile  [--design early_join|active|pipeline|...]
-                             [--backend auto|scalar|batch|compiled]
+                             [--backend auto|scalar|compiled]
                              [--cycles 2000] [--seed 2007]
                              [--compare-model] [--tolerance 0.15]
                              [--json out.json] [--cache dir] [--list]
@@ -307,16 +307,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
         for name in profile_designs():
             print(name)
         return 0
-    cache = None
-    if args.backend == "compiled" and not args.no_cache:
-        from repro.codegen import build_cache
-
-        cache = build_cache(args.cache)
     try:
         report = run_profile(
             args.design, cycles=args.cycles, seed=args.seed,
             backend=args.backend, compare_model=args.compare_model,
-            tolerance=args.tolerance, cache=cache,
+            tolerance=args.tolerance, cache=args.cache,
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -404,11 +399,6 @@ def cmd_inject(args: argparse.Namespace) -> int:
             "--checkpoint/--resume need an RTL netlist; the behavioural "
             "processor campaign is not checkpointed"
         )
-    if args.netlist == "processor" and args.backend != "batch":
-        raise SystemExit(
-            "--backend needs an RTL netlist; the behavioural processor "
-            "campaign has no gate netlist to compile"
-        )
     registry = None
     if args.metrics:
         from repro.obs import MetricsRegistry
@@ -429,7 +419,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
         if args.degradation:
             raise SystemExit(
                 "--degradation needs an RTL netlist; the behavioural "
-                "processor campaign has no batch lanes to quarantine"
+                "processor campaign has no lanes to quarantine"
             )
         if args.profile:
             raise SystemExit(
@@ -462,7 +452,6 @@ def cmd_inject(args: argparse.Namespace) -> int:
                 max_retries=args.max_retries,
                 degradation=args.degradation,
                 profile=args.profile,
-                backend=args.backend,
                 cache=args.cache,
                 workers=workers,
             )
@@ -857,8 +846,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", type=int, default=400)
     p.add_argument("--seed", type=int, default=2007)
     p.add_argument("--lanes", type=int, default=1,
-                   help="injections simulated per bit-parallel pass "
-                        "(64 packs one fault per lane of a machine word)")
+                   help="injections simulated per pass: 1 runs the scalar "
+                        "reference simulator, more run that many lanes "
+                        "at once on the compiled engine")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes sharding the lane chunks; the "
                         "report is byte-identical for any lanes/jobs split")
@@ -901,15 +891,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-retries", type=int, default=2,
                    help="how many times a crashed/hung/erroring chunk is "
                         "requeued before the campaign fails (default 2)")
-    p.add_argument("--backend", choices=("batch", "compiled"),
-                   default="batch",
-                   help="lane-parallel engine: the interpreted batch "
-                        "kernel, or the cached compiled-module backend; "
-                        "reports are byte-identical either way")
     p.add_argument("--cache", default=None, metavar="DIR",
-                   help="build-cache directory for --backend compiled "
-                        "(default: $REPRO_CACHE_DIR or "
-                        "~/.cache/repro/codegen)")
+                   help="build-cache directory for the compiled modules "
+                        "that --lanes > 1 runs on (default: "
+                        "$REPRO_CACHE_DIR or ~/.cache/repro/codegen)")
     p.add_argument("--workers", default=None, metavar="HOST:PORT,...",
                    help="shard chunks over running 'repro worker' "
                         "socket daemons (replaces --jobs); the merged "
@@ -980,8 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="an RTL campaign target (dual_ehb, early_join, "
                         "...), a Fig. 9 configuration, 'pipeline' (the "
                         "Fig. 5 chain) or 'processor' (see --list)")
-    p.add_argument("--backend", choices=("auto", "scalar", "batch",
-                                         "compiled"),
+    p.add_argument("--backend", choices=("auto", "scalar", "compiled"),
                    default="auto",
                    help="execution engine for RTL designs (auto = "
                         "scalar); behavioural designs always run on the "
@@ -1004,8 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build-cache directory for --backend compiled "
                         "(default: $REPRO_CACHE_DIR or "
                         "~/.cache/repro/codegen)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="compile without the build cache")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(
@@ -1023,8 +1005,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", type=int, default=96,
                    help="simulated cycles per oracle stage")
     p.add_argument("--lanes", type=int, default=8,
-                   help="randomized environment schedules compared "
-                        "per spec in the gate-level differential")
+                   help="width of the compiled engine in the gate-level "
+                        "differential: one randomized schedule per lane; "
+                        "only lanes 0 and lanes-1 are checked against "
+                        "scalar replays, interior lanes are not compared")
     p.add_argument("--budget", type=float, default=None,
                    help="wall-clock budget in seconds; the campaign "
                         "stops early (and says so) when it runs out")
@@ -1044,7 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep findings at full size (skip spec-level "
                         "ddmin)")
     p.add_argument("--no-gates", action="store_true",
-                   help="skip the gate-level scalar/batch/compiled "
+                   help="skip the gate-level scalar-vs-compiled "
                         "differential stage")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the bounded Kripke/CTL spot check")
@@ -1055,7 +1039,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "Kripke structures (default: $REPRO_CACHE_DIR or "
                         "~/.cache/repro/codegen)")
     p.add_argument("--no-cache", action="store_true",
-                   help="run without the build cache")
+                   help="skip the CTL stage's Kripke-structure cache "
+                        "(compiled gate modules are still cached)")
     p.set_defaults(func=cmd_fuzz)
     return parser
 

@@ -1,9 +1,13 @@
-"""Compiled-simulator backend: codegen, build cache, drop-in harness.
+"""The lane-parallel engine: codegen, build cache, compiled simulator.
 
 Lowers a :class:`~repro.rtl.netlist.Netlist` into a standalone
 generated Python module (source on disk, content-addressed, reloadable
-across processes) and wraps it in simulators and campaign harnesses
-interchangeable with the :mod:`repro.rtl.batchsim` batch kernel.
+across processes) and drives it through
+:class:`~repro.codegen.sim.CompiledSimulator`, the engine behind every
+lane-parallel fault campaign, seed sweep, cross-check and fuzz
+differential.  Its signals use the two-plane encoding of
+:mod:`repro.rtl.planes`; its independent reference is the scalar
+:class:`~repro.rtl.simulator.TwoPhaseSimulator`.
 
 Submodules are imported lazily so that ``import repro.codegen`` stays
 cheap for callers that only need, say, the fingerprint helpers.
@@ -24,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
         artifact_key,
         netlist_fingerprint,
     )
-    from repro.codegen.harness import CompiledCampaignHarness
     from repro.codegen.sim import CompiledSimulator
 
 _EXPORTS = {
@@ -38,7 +41,6 @@ _EXPORTS = {
     "CODEGEN_VERSION": "repro.codegen.fingerprint",
     "artifact_key": "repro.codegen.fingerprint",
     "netlist_fingerprint": "repro.codegen.fingerprint",
-    "CompiledCampaignHarness": "repro.codegen.harness",
     "CompiledSimulator": "repro.codegen.sim",
 }
 

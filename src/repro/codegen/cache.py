@@ -21,7 +21,9 @@ by a different codegen version, a torn file -- is treated as absent
 and rebuilt (invalidation is just a key change or a failed check).
 
 Three tiers: an in-process module dict (same :class:`BuildCache`
-instance), the disk artifact, then a fresh build.  Hits and misses are
+instance), the disk artifact, then a fresh build.  A root that cannot
+be written (read-only home, path under a file) only loses the disk
+tier: the fresh build is compiled in memory and kept in the first.  Hits and misses are
 tallied both into process-global counters (``repro build --stats``)
 and, when a :class:`~repro.obs.metrics.MetricsRegistry` is attached,
 into ``codegen_cache_{hits,misses}_total{tier,kind}`` series.
@@ -128,20 +130,25 @@ class BuildCache:
         self._count(False, "disk", "module")
         source = emit_module(netlist, hooks, observe)
         directory = self._dir(key)
-        directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(directory / self.MODULE, source)
-        atomic_write_json(directory / self.META, {
-            "kind": "compiled-simulator",
-            "key": key,
-            "codegen_version": CODEGEN_VERSION,
-            "netlist": netlist.name,
-            "fingerprint": netlist_fingerprint(netlist),
-            "hooks": sorted(hooks) if hooks is not None else None,
-            "observe": sorted(observe) if observe is not None else None,
-        })
-        module = self._import_verified(key)
-        if module is None:  # pragma: no cover - emit/write just succeeded
-            raise RuntimeError(f"cache artifact {key} unreadable after build")
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            atomic_write_text(directory / self.MODULE, source)
+            atomic_write_json(directory / self.META, {
+                "kind": "compiled-simulator",
+                "key": key,
+                "codegen_version": CODEGEN_VERSION,
+                "netlist": netlist.name,
+                "fingerprint": netlist_fingerprint(netlist),
+                "hooks": sorted(hooks) if hooks is not None else None,
+                "observe": sorted(observe) if observe is not None else None,
+            })
+        except OSError:
+            # an unwritable root costs the disk tier, never the build
+            module = None
+        else:
+            module = self._import_verified(key)
+        if module is None:
+            module = _exec_source(key, source)
         self._modules[key] = module
         return module
 
@@ -199,10 +206,13 @@ class BuildCache:
     def store_json(self, key: str, payload: object, meta: Dict) -> None:
         """Persist one JSON payload artifact under ``key``."""
         directory = self._dir(key)
-        directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(directory / self.DATA, payload)
-        atomic_write_json(directory / self.META, {"key": key, **meta})
         self._json[key] = payload
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            atomic_write_json(directory / self.DATA, payload)
+            atomic_write_json(directory / self.META, {"key": key, **meta})
+        except OSError:  # unwritable root: memory tier only
+            pass
 
     # -- maintenance ---------------------------------------------------
     def stats(self) -> Dict[str, object]:
@@ -237,6 +247,14 @@ class BuildCache:
         self._modules.clear()
         self._json.clear()
         return removed
+
+
+def _exec_source(key: str, source: str) -> ModuleType:
+    """Compile generated ``source`` in memory, without a disk artifact."""
+    module = ModuleType(f"repro_codegen_{key[:24]}")
+    exec(compile(source, f"<repro codegen {key[:24]}>", "exec"),
+         module.__dict__)
+    return module
 
 
 #: Shared instances keyed by resolved root, so every loader against the

@@ -1,9 +1,7 @@
-"""The shared gate-level instruction kernel of both compiled engines.
+"""The gate-level instruction kernel of the lane-parallel engine.
 
-:class:`~repro.rtl.batchsim.BatchSimulator` (compiling per-phase
-functions at construction time) and :mod:`repro.codegen.emit` (emitting
-a standalone module onto disk) lower a netlist through the same
-pipeline:
+:mod:`repro.codegen.emit` lowers a netlist into a standalone module
+through this pipeline:
 
 1. :func:`decompose_gates` -- variadic ``AND/OR/NAND/NOR`` become
    binary chains through fresh temporary slots; every template's final
@@ -15,33 +13,31 @@ pipeline:
 3. :func:`two_plane_lines` / :func:`known_lines` -- each instruction as
    straight-line Python statements over ``v<slot>``/``k<slot>`` locals.
 
-Keeping the statement generators here -- rather than in either engine
--- is what makes "the compiled backend agrees with ``BatchSimulator``
-bit for bit" a structural property instead of a test-enforced one: the
-gate formulas exist exactly once.
-
 Two statement dialects share one instruction stream:
 
 * **two-plane** -- the full ternary semantics over ``(v, k)`` word
-  pairs, exactly the formulas documented in :mod:`repro.rtl.batchsim`;
+  pairs, exactly the formulas documented in :mod:`repro.rtl.planes`;
 * **known** -- value-plane only.  When every latch/flop initialises to
   a known 0/1 and every primary input is driven known each cycle, the
   known plane is ``mask`` everywhere *by induction* (each two-plane
   formula yields ``rk == mask`` when its inputs are fully known, and
   every override preserves known-ness: stuck forces a known value,
   flip of a known lane stays known).  Eliding ``k`` halves the work
-  per gate and is the compiled backend's headline speedup; eligibility
-  is checked dynamically per cycle and falls back to the two-plane
+  per gate and is the engine's headline speedup; eligibility is
+  checked dynamically per cycle and falls back to the two-plane
   dialect on the first X.
+
+The engine's independent reference is the scalar
+:class:`~repro.rtl.simulator.TwoPhaseSimulator`, which shares none of
+this code.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - the import would be circular:
-    # repro.rtl.__init__ pulls in batchsim, which imports this module.
-    from repro.rtl.netlist import Netlist
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.rtl.netlist import Netlist, Phase
 
 __all__ = [
     "AND",
@@ -55,7 +51,6 @@ __all__ = [
     "DECOMPOSED",
     "decompose_gates",
     "phase_program",
-    "instr_reads",
     "two_plane_lines",
     "known_lines",
 ]
@@ -156,17 +151,6 @@ def phase_program(
     return tuple(program)
 
 
-def instr_reads(op: int, a: int, b: int, c: int) -> Tuple[int, ...]:
-    """The source slots one instruction reads."""
-    if op in (NOT, BUF):
-        return (a,)
-    if op == MUX:
-        return (a, b, c)
-    if op in (C0, C1):
-        return ()
-    return (a, b)
-
-
 def two_plane_lines(
     op: int, out: int, a: int, b: int, c: int, zero: str = "0"
 ) -> List[str]:
@@ -175,8 +159,7 @@ def two_plane_lines(
     Statements read/write ``v<slot>``/``k<slot>`` locals and may use
     the free variables ``mask`` (the lane mask) and the temporaries
     ``_s0``/``_sx``/``_g1``/``_g0``.  ``zero`` is the spelling of the
-    all-X plane word (``"0"`` for int planes, a named variable for
-    array planes -- array code must never alias a literal).
+    all-X plane word (the emitted modules pass it as a parameter).
     """
     if op == AND:
         return [

@@ -1,10 +1,13 @@
-"""Lane-parallel fault campaigns on the batch simulation kernel.
+"""Lane-parallel fault campaigns on the compiled engine.
 
-:class:`BatchCampaignHarness` is the 64-lane counterpart of
+:class:`BatchCampaignHarness` is the lane-parallel counterpart of
 :class:`~repro.faults.campaign.CampaignHarness`: one
-:class:`~repro.rtl.batchsim.BatchSimulator` runs up to ``lanes``
+:class:`~repro.codegen.sim.CompiledSimulator` runs up to ``lanes``
 injections of the same sweep simultaneously, each in its own bit lane,
-under the broadcast campaign stimulus.  :func:`run_seed_sweep` is the
+under the broadcast campaign stimulus.  The simulator is restricted to
+exactly what a campaign touches: override hooks at the target's fault
+sites, end-of-cycle writeback at the target's observed wires (the
+union of every monitor's read set).  :func:`run_seed_sweep` is the
 transposed mode -- one fault replayed under many stimulus seeds, one
 seed per lane.
 
@@ -35,11 +38,14 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
 
+from repro.codegen.cache import BuildCache
+from repro.codegen.sim import CompiledSimulator
 from repro.faults.campaign import (
     CampaignConfig,
     FaultOutcome,
@@ -50,8 +56,7 @@ from repro.faults.models import Injection
 from repro.faults.monitors import EbProbe, Violation
 from repro.faults.targets import RtlTarget
 from repro.resilience.checkpoint import CheckpointStore
-from repro.rtl.batchsim import (
-    BatchSimulator,
+from repro.rtl.planes import (
     LaneOverride,
     broadcast,
     pack_stimulus,
@@ -151,7 +156,7 @@ class BatchMonitor:
 class BatchInvariantMonitor(BatchMonitor):
     """Word-wide equation (2) check on one channel."""
 
-    def __init__(self, channel, sim: BatchSimulator) -> None:
+    def __init__(self, channel, sim: CompiledSimulator) -> None:
         self.name = f"invariant[{channel.name}]"
         self._vp = sim.slot(channel.vp)
         self._sp = sim.slot(channel.sp)
@@ -177,7 +182,7 @@ class BatchInvariantMonitor(BatchMonitor):
 class BatchPersistenceMonitor(BatchMonitor):
     """Word-wide Retry persistence on one channel."""
 
-    def __init__(self, channel, sim: BatchSimulator) -> None:
+    def __init__(self, channel, sim: CompiledSimulator) -> None:
         self.name = f"persistence[{channel.name}]"
         self._vp = sim.slot(channel.vp)
         self._sp = sim.slot(channel.sp)
@@ -210,7 +215,7 @@ class BatchPersistenceMonitor(BatchMonitor):
 class BatchEncodingMonitor(BatchMonitor):
     """Word-wide thermometer-code invariants of the EB state bits."""
 
-    def __init__(self, probe: EbProbe, sim: BatchSimulator) -> None:
+    def __init__(self, probe: EbProbe, sim: CompiledSimulator) -> None:
         self.name = f"encoding[{probe.prefix}]"
         self._bits = tuple(sim.slot(s) for s in probe.state_bits)
 
@@ -243,7 +248,7 @@ class BatchConservationMonitor(BatchMonitor):
     #: two's-complement width: occupancy+delta spans [-5, 5]
     _WIDTH = 4
 
-    def __init__(self, probe: EbProbe, sim: BatchSimulator) -> None:
+    def __init__(self, probe: EbProbe, sim: CompiledSimulator) -> None:
         self.name = f"conservation[{probe.prefix}]"
         self.mask = sim.mask
         self._bits = tuple(sim.slot(s) for s in probe.state_bits)
@@ -316,7 +321,7 @@ class BatchGoldenMonitor(BatchMonitor):
         self,
         wires: Sequence[str],
         golden: Sequence[Sequence[Tuple[int, int]]],
-        sim: BatchSimulator,
+        sim: CompiledSimulator,
     ) -> None:
         self.wires = list(wires)
         self._slots = [sim.slot(w) for w in wires]
@@ -327,7 +332,7 @@ class BatchGoldenMonitor(BatchMonitor):
         cls,
         wires: Sequence[str],
         golden: Sequence[Mapping[str, Value]],
-        sim: BatchSimulator,
+        sim: CompiledSimulator,
     ) -> "BatchGoldenMonitor":
         """Broadcast a scalar golden trace to every lane."""
         lanes = sim.lanes
@@ -364,7 +369,7 @@ class BatchGoldenMonitor(BatchMonitor):
 
 
 def batch_monitor_bank(
-    target: RtlTarget, sim: BatchSimulator, golden: BatchGoldenMonitor
+    target: RtlTarget, sim: CompiledSimulator, golden: BatchGoldenMonitor
 ) -> List[BatchMonitor]:
     """A fresh word-wide monitor bank in the scalar bank's order."""
     bank: List[BatchMonitor] = []
@@ -417,6 +422,9 @@ class BatchCampaignHarness:
     all of them in a single lane-parallel run, returning the same
     :class:`FaultOutcome` objects (same order, same detail strings) the
     scalar :class:`~repro.faults.campaign.CampaignHarness` would.
+
+    ``cache`` is a :class:`~repro.codegen.cache.BuildCache`, a cache
+    directory path, or ``None`` for the default cache directory.
     """
 
     def __init__(
@@ -425,12 +433,20 @@ class BatchCampaignHarness:
         config: CampaignConfig,
         lanes: int = 64,
         metrics: Optional["MetricsRegistry"] = None,
+        cache: Union[BuildCache, str, None] = None,
     ) -> None:
         self.target = target
         self.config = config
         self.lanes = lanes
         self.metrics = metrics
-        self.sim = self._make_sim()
+        self.sim = CompiledSimulator(
+            target.netlist,
+            lanes,
+            hooks=target.fault_sites,
+            observe=target.observe,
+            cache=cache,
+            metrics=metrics,
+        )
         self.stimulus = make_stimulus(
             target.free_inputs, config.cycles, config.seed
         )
@@ -444,16 +460,6 @@ class BatchCampaignHarness:
         self._golden_monitor = BatchGoldenMonitor.from_scalar(
             target.observe, self.golden, self.sim
         )
-
-    def _make_sim(self):
-        """The lane-parallel simulator driving this harness.
-
-        Overridden by the compiled-backend harness
-        (:class:`repro.codegen.harness.CompiledCampaignHarness`); every
-        other harness behavior -- golden recording, monitor bank,
-        chunk classification -- is backend-agnostic.
-        """
-        return BatchSimulator(self.target.netlist, self.lanes)
 
     def _record_golden(self) -> None:
         sim = self.sim
@@ -552,7 +558,10 @@ def _seed_sweep_chunk(
 ) -> List[FaultOutcome]:
     """One batched golden+faulty pass over up to a word of seeds."""
     lanes = len(seeds)
-    sim = BatchSimulator(tgt.netlist, lanes)
+    sim = CompiledSimulator(
+        tgt.netlist, lanes,
+        hooks=(*tgt.fault_sites, injection.net), observe=tgt.observe,
+    )
     stimuli = [
         make_stimulus(tgt.free_inputs, cfg.cycles, seed) for seed in seeds
     ]

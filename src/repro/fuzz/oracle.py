@@ -1,4 +1,4 @@
-"""The full-pipeline differential oracle: one spec, every backend.
+"""The full-pipeline differential oracle: one spec, every engine.
 
 :func:`run_oracle` pushes a generated :class:`~repro.fuzz.model.
 SpecModel` through the complete toolchain and reports the *first*
@@ -14,11 +14,15 @@ discrepancy as a :class:`FuzzFinding`:
    -- the seeded-bug demo patches a controller here;
 4. **differential** -- the gate-level netlist (with ND environment
    stubs, whose free inputs are protocol-legal for *any* 0/1 stream)
-   runs lock-step on the scalar two-phase simulator, the bit-parallel
-   batch kernel and the compiled backend under randomized per-lane
-   schedules; every channel wire must agree on every lane every cycle,
-   and the non-raising SELF monitors of :mod:`repro.faults.monitors`
-   watch the scalar trace (**protocol** stage);
+   runs all ``lanes`` randomized schedules at once on the compiled
+   lane-parallel engine, lock-step with independent scalar two-phase
+   simulators replaying lane 0 and lane ``lanes-1``; every channel
+   wire of both lanes must agree every cycle (the top lane catches
+   lane-mask and width bugs against the reference).  Interior lanes
+   ``1..lanes-2`` are simulated but never compared: ``lanes`` sets the
+   kernel width under test, not how many schedules are checked.  The
+   non-raising SELF monitors of :mod:`repro.faults.monitors` watch the
+   lane-0 scalar trace (**protocol** stage);
 5. **ctl** -- below an input/state budget, the Kripke structure is
    built and the paper's safety properties (invariant, Retry+/Retry−)
    are model checked; a :class:`~repro.verif.kripke.
@@ -66,11 +70,10 @@ class OracleConfig:
     """Budgets for one oracle run."""
 
     cycles: int = 96
+    #: compiled kernel width; only lanes 0 and ``lanes-1`` are compared
     lanes: int = 8
-    #: run the gate-level scalar/batch/compiled differential stage
+    #: run the gate-level scalar-vs-compiled differential stage
     check_gates: bool = True
-    #: include the compiled backend in the differential comparison
-    check_compiled: bool = True
     #: run the bounded Kripke/CTL spot check
     check_verify: bool = True
     #: skip CTL when the netlist has more free inputs than this (the
@@ -131,7 +134,7 @@ def run_oracle(
     ):
         return None
 
-    # Stage 4: scalar vs batch vs compiled on the gate netlist.
+    # Stage 4: scalar vs compiled on the gate netlist.
     finding = _gate_differential(model, spec, seed, config)
     if finding is not None:
         return finding
@@ -145,9 +148,10 @@ def run_oracle(
 def _gate_differential(
     model: SpecModel, spec, seed: int, config: OracleConfig
 ) -> Optional[FuzzFinding]:
+    from repro.codegen.sim import CompiledSimulator
     from repro.faults.monitors import channel_monitors
     from repro.lint.netlist_rules import lint_netlist
-    from repro.rtl.batchsim import BatchSimulator, pack_stimulus
+    from repro.rtl.planes import pack_stimulus, unpack_lane
     from repro.rtl.simulator import TwoPhaseSimulator
     from repro.synthesis.elaborate import to_gates
 
@@ -170,48 +174,33 @@ def _gate_differential(
             for _ in range(config.cycles)
         ])
 
-    scalar = TwoPhaseSimulator(nl)
-    batch = BatchSimulator(nl, lanes=lanes)
-    compiled = None
-    if config.check_compiled:
-        from repro.codegen.sim import CompiledSimulator
-
-        compiled = CompiledSimulator(
-            nl, lanes, hooks=frozenset(), observe=frozenset(wires),
-            cache=config.cache,
-        )
+    # Independent scalar replays of the bottom and top lanes.
+    checked = sorted({0, lanes - 1})
+    scalars = [TwoPhaseSimulator(nl) for _ in checked]
+    compiled = CompiledSimulator(
+        nl, lanes, hooks=frozenset(), observe=frozenset(wires),
+        cache=config.cache,
+    )
     monitors = channel_monitors(channels)
 
     for t, packed in enumerate(pack_stimulus(stimuli)):
-        batch.cycle(packed)
-        if compiled is not None:
-            compiled.cycle(packed)
-        values = scalar.cycle(stimuli[0][t])
+        compiled.cycle(packed)
+        values = [
+            sim.cycle(stimuli[lane][t]) for lane, sim in zip(checked, scalars)
+        ]
         for wire in wires:
-            want = values.get(wire)
-            got = batch.lane_value(wire, 0)
-            if got != want:
-                return _finding(
-                    model, seed, "differential",
-                    f"cycle {t} wire {wire}: scalar={want!r} "
-                    f"batch[0]={got!r}",
-                )
-            # One word compare per wire; the per-lane loop below alone
-            # decides a finding, so stray plane bits cannot forge one.
-            if compiled is not None and (
-                compiled.planes(wire) != batch.planes(wire)
-            ):
-                for lane in range(lanes):
-                    c = compiled.lane_value(wire, lane)
-                    if c != batch.lane_value(wire, lane):
-                        return _finding(
-                            model, seed, "differential",
-                            f"cycle {t} wire {wire} lane {lane}: "
-                            f"batch={batch.lane_value(wire, lane)!r} "
-                            f"compiled={c!r}",
-                        )
+            planes = compiled.planes(wire)
+            for lane, lane_values in zip(checked, values):
+                want = lane_values.get(wire)
+                got = unpack_lane(planes, lane)
+                if got != want:
+                    return _finding(
+                        model, seed, "differential",
+                        f"cycle {t} wire {wire} lane {lane}: "
+                        f"scalar={want!r} compiled={got!r}",
+                    )
         for monitor in monitors:
-            violation = monitor.observe(t, values)
+            violation = monitor.observe(t, values[0])
             if violation is not None:
                 return _finding(model, seed, "protocol", str(violation))
     return None

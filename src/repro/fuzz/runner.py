@@ -47,7 +47,6 @@ class FuzzConfig:
     mutation: Optional[str] = None
     shrink: bool = True
     check_gates: bool = True
-    check_compiled: bool = True
     check_verify: bool = True
     generator: Optional[GeneratorConfig] = None
     cache: object = None
@@ -96,7 +95,6 @@ def _oracle_config(config: FuzzConfig, fast: bool = False) -> OracleConfig:
         cycles=config.cycles,
         lanes=config.lanes,
         check_gates=config.check_gates and not fast,
-        check_compiled=config.check_compiled,
         check_verify=config.check_verify and not fast,
         cache=config.cache,
     )
@@ -109,7 +107,7 @@ def shrink_predicate(
 
     Shrink probes use the fast oracle (behavioural stages only) when
     the original finding was behavioural -- probing thousands of
-    candidates through the gate backends would dominate the campaign.
+    candidates through the gate-level engines would dominate the campaign.
     """
     fast = stage in ("build", "lint", "network-lint", "behavioral")
     ocfg = _oracle_config(config, fast=fast)

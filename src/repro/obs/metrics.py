@@ -3,9 +3,10 @@
 The registry is the single sink for every quantitative observation in
 the repo -- per-channel throughput and stall fractions, token latency
 distributions, buffer occupancy, early-evaluation firing rates,
-batchsim lane utilization and fault-campaign verdict tallies.  It
-subsumes the ad-hoc accumulators that used to live in
-:mod:`repro.elastic.instrumentation` (which now delegates here).
+lane-parallel campaign lane utilization (the ``batchsim_*`` series)
+and fault-campaign verdict tallies.  It subsumes the ad-hoc
+accumulators that used to live in :mod:`repro.elastic.instrumentation`
+(which now delegates here).
 
 Design points:
 

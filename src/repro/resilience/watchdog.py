@@ -416,11 +416,10 @@ def _diagnose_rtl(
 
 
 class BatchStallWatchdog:
-    """Per-lane no-progress watchdog for the word-parallel simulators.
+    """Per-lane no-progress watchdog for the lane-parallel engine.
 
-    Works on both :class:`~repro.rtl.batchsim.BatchSimulator` and the
-    compiled :class:`~repro.codegen.sim.CompiledSimulator` (the watched
-    channel wires must be in the compiled module's observed set).  The
+    Watches a :class:`~repro.codegen.sim.CompiledSimulator` (the
+    watched channel wires must be in the module's observed set).  The
     progress/pending criterion of :class:`RtlStallWatchdog` is evaluated
     word-wide -- one strict-bit mask operation per channel covers every
     lane -- and each lane keeps its own last-progress cycle.  When a
@@ -473,7 +472,7 @@ class BatchStallWatchdog:
         return mask
 
     def _observe(self, time: int, sim) -> None:
-        from repro.rtl.batchsim import strict_planes
+        from repro.rtl.planes import strict_planes
 
         progress = 0
         pending = 0

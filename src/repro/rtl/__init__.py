@@ -9,11 +9,12 @@ tool chain at the structural level:
 * :mod:`repro.rtl.simulator` -- two-phase cycle simulation with
   X-propagation: one levelized pass per phase, with ternary fixed
   points only on real combinational cycles.
-* :mod:`repro.rtl.batchsim` -- bit-parallel 64-lane two-phase
-  simulation (one bit per lane in a two-plane value/known word pair),
-  compiled into flat per-phase instruction lists.  Import it by its
-  module path: the package does not load it, so importing the scalar
-  reference simulator never pulls in the lane engines it checks.
+* :mod:`repro.rtl.planes` -- the two-plane value/known encoding of
+  lane-parallel signals (one bit per lane), its packing helpers and
+  per-lane override masks.  The lane-parallel engine itself is
+  :class:`repro.codegen.sim.CompiledSimulator`.  Import ``planes`` by
+  its module path: the package does not load it, so importing the
+  scalar reference simulator never pulls in the engine it checks.
 * :mod:`repro.rtl.toposort` -- per-phase topological orders and
   combinational-cycle extraction shared by both simulators.
 * :mod:`repro.rtl.area` -- constant propagation, dead-logic removal and

@@ -27,9 +27,9 @@ The paper takes care to place the token-cancellation gates at EHB
 boundaries precisely so that no such cycles arise; the simulator
 verifies this claim (``strict_x=True`` raises on unresolved signals).
 
-This engine is the reference the lane-parallel engines are checked
-against, so it shares no code with them: it imports neither
-:mod:`repro.codegen` nor :mod:`repro.rtl.batchsim`.
+This engine is the reference the lane-parallel engine is checked
+against, so it shares no code with it: it imports neither
+:mod:`repro.codegen` nor :mod:`repro.rtl.planes`.
 """
 
 from __future__ import annotations

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.codegen.cache import (
     BuildCache,
     build_cache,
@@ -175,8 +173,34 @@ def test_compiled_simulator_accepts_cache_path(tmp_path):
     assert (tmp_path / "c" / sim.key / "module.py").is_file()
 
 
-def test_unknown_plane_kind_rejected():
-    with pytest.raises(ValueError, match="plane_kind"):
-        from repro.codegen.sim import CompiledSimulator
+def _unwritable_root(tmp_path):
+    """A cache root nothing can create: its parent is a plain file
+    (fails for every user, root included, unlike a chmod)."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    return blocker / "codegen"
 
-        CompiledSimulator(_small_netlist(), 4, plane_kind="torch")
+
+def test_unwritable_root_builds_in_memory(tmp_path):
+    nl = _small_netlist()
+    cache = BuildCache(_unwritable_root(tmp_path))
+    reset_process_stats()
+    m1 = cache.load_module(nl)
+    assert m1.KEY == artifact_key(nl)
+    assert cache.load_module(nl) is m1  # kept in the memory tier
+    assert process_stats() == {"hits": 1, "misses": 1}
+    cache.store_json("k", {"x": 1}, {"kind": "test"})
+    assert cache.load_json("k") == {"x": 1}
+    assert not cache.root.exists()
+
+
+def test_unwritable_root_campaign_matches_scalar(tmp_path):
+    from repro.faults.campaign import CampaignConfig, run_campaign
+
+    config = CampaignConfig(cycles=80, kinds=("stuck0", "stuck1"),
+                            untestable_analysis=False)
+    root = _unwritable_root(tmp_path)
+    lanes = run_campaign("join", config, lanes=16, cache=str(root))
+    scalar = run_campaign("join", config, lanes=1)
+    assert lanes.to_json() == scalar.to_json()
+    assert not root.exists()

@@ -1,4 +1,4 @@
-"""The ``repro build`` verb and the cache-aware inject/lint flags."""
+"""The ``repro build`` verb and what each verb writes to the build cache."""
 
 import json
 
@@ -47,25 +47,79 @@ class TestBuild:
             main(["build", "bogus", "--cache", str(tmp_path)])
 
 
-class TestInjectBackend:
+def _artifacts(root):
+    """(generated modules, JSON payloads) stored under a cache dir."""
+    return (len(list(root.glob("*/module.py"))),
+            len(list(root.glob("*/data.json"))))
+
+
+class TestInjectCache:
+    """``repro inject`` writes one module per target, and only for lanes."""
+
     ARGS = ["inject", "--netlist", "join", "--fault", "stuck0,stuck1,flip",
-            "--cycles", "80", "--lanes", "16"]
+            "--cycles", "80"]
 
-    def test_compiled_report_matches_batch(self, tmp_path, capsys):
-        batch = tmp_path / "batch.json"
-        compiled = tmp_path / "compiled.json"
-        main(self.ARGS + ["--report", str(batch)])
-        main(self.ARGS + ["--backend", "compiled",
-                          "--cache", str(tmp_path / "cache"),
-                          "--report", str(compiled)])
-        assert batch.read_text() == compiled.read_text()
+    def test_lanes_report_matches_scalar(self, tmp_path, capsys):
+        scalar = tmp_path / "scalar.json"
+        lanes = tmp_path / "lanes.json"
+        cache = tmp_path / "cache"
+        main(self.ARGS + ["--report", str(scalar)])
+        assert not cache.exists()
+        main(self.ARGS + ["--lanes", "16", "--cache", str(cache),
+                          "--report", str(lanes)])
+        assert scalar.read_text() == lanes.read_text()
+        assert _artifacts(cache) == (1, 0)
 
-    def test_processor_rejects_compiled(self):
+    def test_scalar_run_writes_no_module(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        main(self.ARGS + ["--cache", str(cache)])
+        assert _artifacts(cache) == (0, 0)
+
+
+class TestProfileCache:
+    ARGS = ["profile", "--design", "dual_ehb", "--cycles", "50"]
+
+    def test_compiled_backend_writes_one_module(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(self.ARGS + ["--backend", "compiled",
+                                 "--cache", str(cache)]) == 0
+        assert _artifacts(cache) == (1, 0)
+
+    def test_scalar_backend_writes_nothing(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(self.ARGS + ["--cache", str(cache)]) == 0
+        assert _artifacts(cache) == (0, 0)
+
+    def test_no_cache_flag_is_gone(self, capsys):
         import pytest
 
-        with pytest.raises(SystemExit, match="RTL netlist"):
-            main(["inject", "--netlist", "processor",
-                  "--backend", "compiled"])
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--backend", "compiled", "--no-cache"])
+        assert exc.value.code == 2
+
+
+class TestFuzzCache:
+    """``--no-cache`` skips the Kripke cache."""
+
+    ARGS = ["fuzz", "--seed", "3", "--specs", "2", "--max-blocks", "8",
+            "--cycles", "16", "--lanes", "4"]
+
+    def test_cache_dir_holds_modules_and_kripke_tables(self, tmp_path,
+                                                      capsys):
+        cache = tmp_path / "cache"
+        assert main(self.ARGS + ["--cache", str(cache)]) == 0
+        modules, payloads = _artifacts(cache)
+        assert modules == 2 and payloads >= 1
+
+    def test_no_cache_stores_no_kripke_tables(self, tmp_path, capsys):
+        import os
+        from pathlib import Path
+
+        default = Path(os.environ["REPRO_CACHE_DIR"])
+        cache = tmp_path / "cache"
+        assert main(self.ARGS + ["--cache", str(cache), "--no-cache"]) == 0
+        assert _artifacts(cache)[1] == 0
+        assert _artifacts(default)[1] == 0
 
 
 class TestLintCache:

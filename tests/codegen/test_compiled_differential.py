@@ -1,12 +1,13 @@
-"""Differential testing: CompiledSimulator vs batch vs scalar.
+"""Differential testing: CompiledSimulator vs the scalar simulator.
 
 Hypothesis reuses the shared random-circuit strategies of
-``tests/strategies.py`` (the same distribution the batch differential
-suite drives) and adds the compiled backend to the comparison, in both
-plane representations and past the 64-lane word boundary.  The
-contract under test is byte-level: a compiled module's end-of-cycle
-planes must equal the interpreted batch kernel's planes exactly, for
-every signal, every cycle, with X stimulus and per-lane faults live.
+``tests/strategies.py`` (the same distribution the lane-parallel
+differential suite drives) and checks the compiled engine with its
+restriction knobs -- override hooks only at the injected nets -- and
+past the 64-lane word boundary.  The contract under test is exact:
+every lane of a compiled module must equal its own scalar
+:class:`~repro.rtl.simulator.TwoPhaseSimulator` replay, for every
+signal, every cycle, with X stimulus and per-lane faults live.
 """
 
 import random
@@ -15,10 +16,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.codegen.sim import CompiledSimulator
-from repro.rtl.batchsim import BatchSimulator, pack_stimulus
+from repro.rtl.planes import pack_stimulus
 from repro.rtl.simulator import TwoPhaseSimulator
 from tests.strategies import (
-    CYCLES,
     LANES,
     _batch_overrides,
     _scalar_overrides,
@@ -31,93 +31,54 @@ def _widen(per_lane, lanes):
     return [per_lane[i % len(per_lane)] for i in range(lanes)]
 
 
-def _assert_planes_match(nl, batch, compiled, ctx):
-    bv, bk = batch.value_planes, batch.known_planes
-    for sig in sorted(nl.signals()):
-        want = (bv[batch.slot(sig)], bk[batch.slot(sig)])
-        assert compiled.planes(sig) == want, (
-            f"{ctx} sig={sig} compiled={compiled.planes(sig)} batch={want}"
-        )
+def _run_against_scalar(nl, sims, stimuli, injections, ctx):
+    """Drive ``sims`` lock-step with one scalar replay per lane."""
+    lanes = len(stimuli)
+    scalars = [TwoPhaseSimulator(nl) for _ in range(lanes)]
+    signals = sorted(nl.signals())
+    for t, packed in enumerate(pack_stimulus(stimuli)):
+        overrides = _batch_overrides(injections, t)
+        for sim in sims:
+            sim.set_overrides(overrides)
+            sim.cycle(packed)
+            assert sim.check_lane_integrity() == 0
+        for lane, scalar in enumerate(scalars):
+            scalar.overrides = _scalar_overrides(injections[lane], t)
+            values = scalar.cycle(stimuli[lane][t])
+            for sim in sims:
+                for sig in signals:
+                    assert sim.lane_value(sig, lane) == values[sig], (
+                        f"{ctx} t={t} lane={lane} sig={sig} "
+                        f"inj={injections[lane]}"
+                    )
+    for lane, scalar in enumerate(scalars):
+        for sim in sims:
+            assert sim.lane_state(lane) == scalar.state, (ctx, lane)
 
 
 @settings(max_examples=60, deadline=None)
 @given(differential_cases())
-def test_compiled_matches_batch_and_scalar(case):
-    """64 lanes: compiled (int and numpy planes) == batch == scalar."""
+def test_compiled_matches_scalar(case):
+    """64 lanes: general and hook-restricted modules == scalar."""
     seed, nl, stimuli, injections = case
-    sites = frozenset(nl.signals())
-
-    batch = BatchSimulator(nl, lanes=LANES)
+    injected = frozenset(i[0] for i in injections if i is not None)
     sims = [
-        CompiledSimulator(nl, LANES, hooks=sites, observe=sites),
-        CompiledSimulator(nl, LANES, hooks=sites, observe=sites,
-                          plane_kind="numpy"),
+        CompiledSimulator(nl, LANES),
+        CompiledSimulator(nl, LANES, hooks=injected),
     ]
-    scalar = TwoPhaseSimulator(nl)
-    spot = 0  # scalar replays exactly one lane; batch vs scalar is
-    # already covered exhaustively by the batch differential suite.
-
-    for t, packed in enumerate(pack_stimulus(stimuli)):
-        overrides = _batch_overrides(injections, t)
-        batch.set_overrides(overrides)
-        batch.cycle(packed)
-        for sim in sims:
-            sim.set_overrides(overrides)
-            sim.cycle(packed)
-            _assert_planes_match(nl, batch, sim,
-                                 f"seed={seed} t={t} rep={sim.plane_kind}")
-            assert sim.check_lane_integrity() == 0
-        scalar.overrides = _scalar_overrides(injections[spot], t)
-        values = scalar.cycle(stimuli[spot][t])
-        for sig in sorted(nl.signals()):
-            for sim in sims:
-                assert sim.lane_value(sig, spot) == values[sig], (
-                    f"seed={seed} t={t} sig={sig} rep={sim.plane_kind}"
-                )
-    for lane in (0, LANES // 2, LANES - 1):
-        want = batch.lane_state(lane)
-        for sim in sims:
-            assert sim.lane_state(lane) == want
+    _run_against_scalar(nl, sims, stimuli, injections, f"seed={seed}")
 
 
 @settings(max_examples=25, deadline=None)
 @given(differential_cases())
-def test_wide_lanes_match_batch(case):
-    """96 lanes (past one machine word): compiled == batch, both reps."""
+def test_wide_lanes_match_scalar(case):
+    """96 lanes (past one machine word): every lane == its scalar run."""
     lanes = 96
     seed, nl, stimuli, injections = case
     stimuli = _widen(stimuli, lanes)
     injections = _widen(injections, lanes)
-    sites = frozenset(nl.signals())
-
-    batch = BatchSimulator(nl, lanes=lanes)
-    sims = [
-        CompiledSimulator(nl, lanes, hooks=sites, observe=sites),
-        CompiledSimulator(nl, lanes, hooks=sites, observe=sites,
-                          plane_kind="numpy"),
-    ]
-    for t, packed in enumerate(pack_stimulus(stimuli)):
-        overrides = _batch_overrides(injections, t)
-        batch.set_overrides(overrides)
-        batch.cycle(packed)
-        for sim in sims:
-            sim.set_overrides(overrides)
-            sim.cycle(packed)
-            _assert_planes_match(nl, batch, sim,
-                                 f"seed={seed} t={t} rep={sim.plane_kind}")
-    # spot-check the high lanes against their own scalar replays
-    for lane in (0, 64, 65, lanes - 1):
-        scalar = TwoPhaseSimulator(nl)
-        for t in range(CYCLES):
-            scalar.overrides = _scalar_overrides(injections[lane], t)
-            values = scalar.cycle(stimuli[lane][t])
-        for sig in sorted(nl.signals()):
-            for sim in sims:
-                assert sim.lane_value(sig, lane) == values[sig], (
-                    f"seed={seed} lane={lane} sig={sig}"
-                )
-        for sim in sims:
-            assert sim.lane_state(lane) == scalar.state
+    sim = CompiledSimulator(nl, lanes)
+    _run_against_scalar(nl, [sim], stimuli, injections, f"seed={seed}")
 
 
 def _all_known_stimulus(target, lanes, cycles):
@@ -138,14 +99,9 @@ def test_known_dialect_runs_and_matches():
     target = TARGETS["dual_ehb"]()
     nl = target.netlist
     stimuli = _all_known_stimulus(target, LANES, 60)
-    batch = BatchSimulator(nl, lanes=LANES)
-    sites = frozenset(nl.signals())
-    sim = CompiledSimulator(nl, LANES, hooks=sites, observe=sites)
+    sim = CompiledSimulator(nl, LANES)
     assert sim.module.KNOWN_OK
-    for packed in pack_stimulus(stimuli):
-        batch.cycle(packed)
-        sim.cycle(packed)
-        _assert_planes_match(nl, batch, sim, "known")
+    _run_against_scalar(nl, [sim], stimuli, [None] * LANES, "known")
     assert sim._known_active, "known dialect should have stayed active"
 
 
@@ -159,13 +115,8 @@ def test_known_dialect_falls_back_on_x():
     stimuli = _all_known_stimulus(target, LANES, 30)
     first = next(iter(target.free_inputs))
     stimuli[7][10] = dict(stimuli[7][10], **{first: X})
-    batch = BatchSimulator(nl, lanes=LANES)
-    sites = frozenset(nl.signals())
-    sim = CompiledSimulator(nl, LANES, hooks=sites, observe=sites)
-    for packed in pack_stimulus(stimuli):
-        batch.cycle(packed)
-        sim.cycle(packed)
-        _assert_planes_match(nl, batch, sim, "fallback")
+    sim = CompiledSimulator(nl, LANES)
+    _run_against_scalar(nl, [sim], stimuli, [None] * LANES, "fallback")
     assert not sim._known_active
     sim.reset()
     assert sim._known_active, "reset() must re-arm the known dialect"
@@ -173,7 +124,7 @@ def test_known_dialect_falls_back_on_x():
 
 def test_non_hook_override_rejected():
     from repro.faults.targets import TARGETS
-    from repro.rtl.batchsim import LaneOverride
+    from repro.rtl.planes import LaneOverride
 
     target = TARGETS["dual_ehb"]()
     sim = CompiledSimulator(

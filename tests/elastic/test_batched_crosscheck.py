@@ -1,8 +1,9 @@
 """Batched gate-vs-behavioural cross-checking, one seed per lane.
 
 ``BatchedCrossCheck`` must be a pure accelerator of the scalar
-``ControllerCrossCheck``: a clean controller passes every seed, and a
-planted divergence raises a mismatch that replays *verbatim* -- same
+``ControllerCrossCheck``: a clean controller passes every seed, every
+compiled lane ends in the state its seed's scalar harness reaches, and
+a planted divergence raises a mismatch that replays *verbatim* -- same
 cycle, wire, values and seed -- on the scalar harness.
 """
 
@@ -74,6 +75,16 @@ def test_early_join_64_seeds():
         return ControllerCrossCheck(join, triples, nl, seed=seed)
 
     BatchedCrossCheck(factory, range(64)).run(CYCLES)
+
+
+def test_compiled_lanes_match_scalar_harnesses():
+    factory = buffer_factory(1, 1)
+    batched = BatchedCrossCheck(factory, range(64))
+    batched.run(CYCLES)
+    for lane in (0, 31, 63):
+        scalar = factory(batched.seeds[lane])
+        scalar.run(CYCLES)
+        assert batched.sim.lane_state(lane) == scalar.sim.state, lane
 
 
 def test_mismatch_replays_on_scalar_harness():

@@ -91,6 +91,58 @@ class TestStages:
         assert str(finding).startswith("broken [build]")
 
 
+GATES = OracleConfig(cycles=48, lanes=4, check_verify=False)
+
+
+def _corrupt_compiled_lane(monkeypatch, lane, after):
+    """Flip ``lane`` of the first observed compiled wire from ``after`` on.
+
+    Setting the known bit as well turns an X lane into a definite
+    value, so every corrupted cycle differs from the scalar replay.
+    Returns a dict that receives the corrupted wire's name.
+    """
+    from repro.codegen.sim import CompiledSimulator
+
+    real_cycle = CompiledSimulator.cycle
+    planted = {}
+
+    def cycle(self, inputs=None):
+        real_cycle(self, inputs)
+        if self.time - 1 >= after:
+            wire = planted.setdefault("wire", self.observed_names[0])
+            slot = self.slot(wire)
+            self.value_planes[slot] ^= 1 << lane
+            self.known_planes[slot] |= 1 << lane
+
+    monkeypatch.setattr(CompiledSimulator, "cycle", cycle)
+    return planted
+
+
+class TestDifferentialStage:
+    def test_clean_spec_passes(self):
+        assert run_oracle(_ee_model(), seed=0, config=GATES) is None
+
+    def test_top_lane_fault_is_named(self, monkeypatch):
+        top = GATES.lanes - 1
+        planted = _corrupt_compiled_lane(monkeypatch, lane=top, after=5)
+        finding = run_oracle(_ee_model(), seed=0, config=GATES)
+        assert finding is not None
+        assert finding.stage == "differential"
+        assert finding.detail.startswith(
+            f"cycle 5 wire {planted['wire']} lane {top}: scalar="
+        )
+        assert " compiled=" in finding.detail
+
+    def test_lane_zero_fault_is_named(self, monkeypatch):
+        planted = _corrupt_compiled_lane(monkeypatch, lane=0, after=0)
+        finding = run_oracle(_ee_model(), seed=0, config=GATES)
+        assert finding is not None
+        assert finding.stage == "differential"
+        assert finding.detail.startswith(
+            f"cycle 0 wire {planted['wire']} lane 0: scalar="
+        )
+
+
 class TestSeededBugs:
     def test_broken_early_join_is_caught(self):
         finding = run_oracle(_ee_model(), seed=0, config=FAST,

@@ -3,7 +3,7 @@
 The tentpole guarantees under test:
 
 * the JSON report is byte-identical across repeated seeded runs and
-  across the three RTL backends (scalar, batch, compiled);
+  across the two RTL backends (scalar, compiled);
 * per-channel cycle accounting balances and the token/anti-token
   conservation check closes (zero residual on every buffer);
 * backpressure attribution walks an asserted-Stop chain back to its
@@ -66,11 +66,9 @@ class TestDeterminism:
 
     def test_backends_agree_byte_for_byte(self, tmp_path):
         scalar = report_json("early_join", backend="scalar")
-        batch = report_json("early_join", backend="batch")
         compiled = report_json("early_join", backend="compiled",
                                cache=str(tmp_path / "cache"))
-        # Only the backend tag may differ between the three reports.
-        assert scalar == batch.replace('"batch"', '"scalar"')
+        # Only the backend tag may differ between the two reports.
         assert scalar == compiled.replace('"compiled"', '"scalar"')
 
     def test_report_ends_with_newline_and_sorted_keys(self):
@@ -195,7 +193,7 @@ class TestInputValidation:
 
     def test_network_designs_reject_backend_override(self):
         with pytest.raises(ValueError, match="behavioural network"):
-            run_profile("processor", backend="batch")
+            run_profile("processor", backend="compiled")
 
     def test_processor_has_no_model(self):
         with pytest.raises(ValueError, match="no DMG abstraction"):

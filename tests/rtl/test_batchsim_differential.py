@@ -1,13 +1,15 @@
-"""Differential testing: BatchSimulator vs TwoPhaseSimulator.
+"""Differential testing: the lane-parallel engine vs TwoPhaseSimulator.
 
 Hypothesis drives randomly generated acyclic netlists (gates, both
 latch phases, flip-flop feedback), per-lane stimulus with explicit X
 states, and per-lane fault injections; every one of the 64 lanes must
 match its own scalar simulation cycle-for-cycle -- all signal values,
-X-propagation, and latch/flop state included.  The generators live in
-``tests/strategies.py`` (shared with the compiled-backend suite), and
-build cells in topological order (each cell reads only earlier
-signals), so phase-acyclicity is guaranteed by construction;
+X-propagation, and latch/flop state included.  The engine under test
+is :class:`~repro.codegen.sim.CompiledSimulator` hooking and observing
+every signal; the scalar simulator shares no code with it.  The
+generators live in ``tests/strategies.py`` (shared with the codegen
+suite), and build cells in topological order (each cell reads only
+earlier signals), so phase-acyclicity is guaranteed by construction;
 flip-flops are sequential cuts and may feed back freely.
 """
 
@@ -15,7 +17,8 @@ import random
 
 from hypothesis import given, settings
 
-from repro.rtl.batchsim import BatchSimulator, pack_stimulus
+from repro.codegen.sim import CompiledSimulator
+from repro.rtl.planes import pack_stimulus
 from repro.rtl.simulator import TwoPhaseSimulator
 from tests.strategies import (
     LANES,
@@ -30,7 +33,7 @@ from tests.strategies import (
 def test_every_lane_matches_scalar(case):
     seed, nl, stimuli, injections = case
 
-    batch = BatchSimulator(nl, lanes=LANES)
+    batch = CompiledSimulator(nl, lanes=LANES)
     scalars = [TwoPhaseSimulator(nl) for _ in range(LANES)]
     signals = sorted(nl.signals())
 
@@ -64,7 +67,7 @@ def test_dual_ehb_directed():
         ]
         for rng in rngs
     ]
-    batch = BatchSimulator(nl, lanes=LANES)
+    batch = CompiledSimulator(nl, lanes=LANES)
     scalars = [TwoPhaseSimulator(nl) for _ in range(LANES)]
     observe = sorted(nl.signals())
     for t, packed in enumerate(pack_stimulus(stimuli)):

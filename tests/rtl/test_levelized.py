@@ -270,7 +270,7 @@ def test_op_truth_tables(op):
 def test_import_is_independent_of_the_lane_engines():
     code = (
         "import sys, repro.rtl.simulator\n"
-        "bad = [m for m in sys.modules if m == 'repro.rtl.batchsim'"
+        "bad = [m for m in sys.modules if m == 'repro.rtl.planes'"
         " or m.startswith('repro.codegen')]\n"
         "assert not bad, bad\n"
     )

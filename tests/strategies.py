@@ -2,11 +2,11 @@
 
 Two families live here:
 
-* the random *netlist* generators that the batch/compiled differential
+* the random *netlist* generators that the lane-parallel differential
   suites drive (gate soup with latches, flip-flop feedback, X stimulus
-  and per-lane fault injections), lifted out of
-  ``tests/rtl/test_batchsim_differential.py`` so every backend suite
-  consumes the same distribution;
+  and per-lane fault injections), shared by
+  ``tests/rtl/test_batchsim_differential.py``, ``tests/codegen`` and
+  the re-parse front-end suite so they consume the same distribution;
 * :func:`spec_models`, a Hypothesis strategy over the *system-level*
   :class:`repro.fuzz.model.SpecModel` generator -- valid (lint-clean,
   elaborable) specs by construction, the same distribution ``repro
@@ -22,7 +22,7 @@ import random
 from hypothesis import strategies as st
 
 from repro.fuzz.generate import GeneratorConfig, generate_model
-from repro.rtl.batchsim import LaneOverride
+from repro.rtl.planes import LaneOverride
 from repro.rtl.logic import X, lnot
 from repro.rtl.netlist import Netlist, Phase
 
