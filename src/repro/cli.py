@@ -646,11 +646,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             f"unknown mutation {args.mutate!r}; "
             f"pick from {', '.join(sorted(MUTATIONS))}"
         )
-    cache = None
-    if not args.no_cache:
-        from repro.codegen import build_cache
+    from repro.codegen import build_cache
 
-        cache = build_cache(args.cache)
+    cache = build_cache(args.cache)
 
     if args.replay:
         entries = load_corpus(args.replay)
@@ -660,6 +658,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             cycles=args.cycles, lanes=args.lanes,
             check_gates=not args.no_gates,
             check_verify=not args.no_verify, cache=cache,
+            verify_cache=not args.no_cache,
         )
         missing = 0
         for entry in entries:
@@ -680,6 +679,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         corpus=args.corpus, mutation=args.mutate,
         shrink=not args.no_shrink, check_gates=not args.no_gates,
         check_verify=not args.no_verify, cache=cache,
+        verify_cache=not args.no_cache,
     )
     progress = None
     if args.progress:

@@ -247,36 +247,36 @@ class ElasticBuffer(Controller):
         return changed
 
     def commit(self) -> None:
+        # Each wire is read once; the tests are Channel.pos_transfer,
+        # kill and neg_transfer written out on the locals.
         left, right = self.left, self.right
-        in_pos = left.pos_transfer
-        kill_left = left.kill
-        out_neg = left.neg_transfer
-        out_pos = right.pos_transfer
-        kill_right = right.kill
-        in_neg = right.neg_transfer
+        lvp, lvn = left.vp == 1, left.vn == 1
+        rvp, rvn = right.vp == 1, right.vn == 1
+        in_pos = lvp and not lvn and left.sp == 0
+        in_neg = rvn and not rvp and right.sn == 0
+        count = self.count
 
-        if out_pos or kill_right:
+        if rvp and (rvn or right.sp == 0):
             # Head token leaves (transfer) or is annihilated by an
             # incoming anti-token at the output boundary.
             self.data.pop(0)
-            self.count -= 1
-        if kill_left or out_neg:
+            count -= 1
+        if lvn and (lvp or left.sn == 0):
             # A stored anti-token annihilates an arriving token, or
             # moves backwards onto the input channel.
-            self.count += 1
+            count += 1
         if in_pos:
-            self.count += 1
-            if in_neg:
-                # Token and anti-token entered opposite ends of an empty
-                # buffer in the same cycle: they annihilate inside.
-                self.count -= 1
-            else:
+            if not in_neg:
+                count += 1
                 self.data.append(left.data)
+            # else: token and anti-token entered opposite ends of an
+            # empty buffer in the same cycle and annihilate inside.
         elif in_neg:
-            self.count -= 1
-        if not -self.capacity <= self.count <= self.capacity:
-            raise ProtocolViolation(f"{self.name}: occupancy {self.count} out of range")
-        if len(self.data) != max(self.count, 0):
+            count -= 1
+        self.count = count
+        if not -self.capacity <= count <= self.capacity:
+            raise ProtocolViolation(f"{self.name}: occupancy {count} out of range")
+        if len(self.data) != max(count, 0):
             raise ProtocolViolation(f"{self.name}: data/occupancy mismatch")
 
 
@@ -347,7 +347,8 @@ class Join(Controller):
 
     def commit(self) -> None:
         out = self.output
-        accepted = out.neg_transfer  # anti-token taken from the output channel
+        # anti-token taken from the output channel (out.neg_transfer)
+        accepted = out.vn == 1 and out.sn == 0 and out.vp == 0
         for i, ch in enumerate(self.inputs):
             offered = ch.vn == 1
             delivered = offered and (ch.vp == 1 or ch.sn == 0)
@@ -449,8 +450,9 @@ class EarlyJoin(Controller):
 
     def commit(self) -> None:
         out = self.output
-        fire = out.vp == 1 and out.sp == 0
-        accepted = out.neg_transfer
+        out_vp, out_sp = out.vp, out.sp
+        fire = out_vp == 1 and out_sp == 0
+        accepted = out.vn == 1 and out.sn == 0 and out_vp == 0
         for i, ch in enumerate(self.inputs):
             masked_valid = ch.vp == 1 and self.apend[i] == 0
             generated = fire and not masked_valid
@@ -464,7 +466,7 @@ class EarlyJoin(Controller):
                 )
         # Latch the offered payload across a Retry+ stall; any other
         # outcome (transfer, idle, kill) starts a fresh transaction.
-        if out.vp == 1 and out.sp == 1:
+        if out_vp == 1 and out_sp == 1:
             self._held_data = out.data
         else:
             self._held_data = _NO_HELD_DATA
@@ -790,11 +792,11 @@ class VariableLatency(Controller):
     def commit(self) -> None:
         left, right = self.left, self.right
         if self.state == self.IDLE:
-            if left.pos_transfer:
+            if left.vp == 1 and left.sp == 0 and left.vn == 0:  # transfer
                 self._start(left.data)
             # left.kill: the token died on the input channel; stay idle.
         elif self.state == self.BUSY:
-            if right.neg_transfer:
+            if right.vn == 1 and right.sn == 0 and right.vp == 0:
                 # Preempted: the anti-token annihilates the operand in
                 # flight and the unit is flushed.
                 self.state = self.IDLE
@@ -807,10 +809,11 @@ class VariableLatency(Controller):
                     self.result = self.func(self.payload)
                     self.done_count += 1
         elif self.state == self.DONE:
-            if right.pos_transfer or right.kill:
+            if right.vp == 1 and (right.vn == 1 or right.sp == 0):
+                # the result transferred or was killed
                 self.state = self.IDLE
                 self.result = None
-                if left.pos_transfer:
+                if left.vp == 1 and left.sp == 0 and left.vn == 0:
                     self._start(left.data)
 
 
@@ -871,11 +874,11 @@ class Source(Controller):
     def commit(self) -> None:
         out = self.output
         if out.vp == 1:
-            if out.kill:
+            if out.vn == 1:  # kill
                 self.killed += 1
                 self.seq += 1
                 self.pending = False
-            elif out.pos_transfer:
+            elif out.sp == 0:  # positive transfer
                 self.sent += 1
                 self.seq += 1
                 self.pending = False
@@ -943,12 +946,14 @@ class Sink(Controller):
 
     def commit(self) -> None:
         ch = self.input
-        if ch.pos_transfer:
+        vp, vn = ch.vp, ch.vn
+        if vp == 1 and vn == 0 and ch.sp == 0:  # positive transfer
             self.received.append(ch.data)
             if self.on_data is not None:
                 self.on_data(ch.data)
         if self._action == "kill":
-            if ch.kill or ch.neg_transfer:
+            # kill, or a negative transfer
+            if vn == 1 and (vp == 1 or ch.sn == 0):
                 self.kills_sent += 1
                 self.pending_anti = False
             else:  # Retry-: hold the anti-token
@@ -964,7 +969,8 @@ class ElasticNetwork:
 
     Per cycle: reset all channel wires to X, run one ordered pass of
     ``evaluate`` calls, check that every wire settled, classify/record
-    every channel, then ``commit`` all controllers.
+    every channel, then ``commit`` all controllers (those that keep the
+    base no-op ``commit`` are left out of the commit pass).
 
     The pass is built on the first :meth:`step` (and again after
     :meth:`add` or :meth:`add_channel`) from the controllers' port
@@ -994,6 +1000,9 @@ class ElasticNetwork:
         self.probes: List[Callable[["ElasticNetwork"], None]] = []
         #: the evaluation pass, built lazily by :meth:`_schedule`
         self._pass: Optional[List[_Step]] = None
+        #: the commit pass, built with it: bound ``commit`` methods of
+        #: the controllers that override the base no-op, in order
+        self._commits: List[Callable[[], None]] = []
         #: driven wire -> (component index, driving controllers)
         self._components: Dict[Wire, Tuple[int, List[Controller]]] = {}
 
@@ -1139,6 +1148,10 @@ class ElasticNetwork:
         steps = self._pass
         if steps is None:
             steps = self._pass = self._schedule()
+            self._commits = [
+                c.commit for c in self.controllers
+                if getattr(c.commit, "__func__", None) is not Controller.commit
+            ]
         for ctrls, loop in steps:
             if loop is None:
                 for ctrl in ctrls:
@@ -1163,8 +1176,8 @@ class ElasticNetwork:
             raise self._unsettled(
                 [(c, w) for c in channels for w in WIRES
                  if getattr(c, w) is X], "still X") from None
-        for ctrl in self.controllers:
-            ctrl.commit()
+        for commit in self._commits:
+            commit()
         if self.probes:
             for probe in self.probes:
                 probe(self)

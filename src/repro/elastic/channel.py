@@ -23,12 +23,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.elastic.protocol import (
+    SETTLE,
     DualChannelEvent,
     ProtocolMonitor,
     ProtocolViolation,
-    classify_dual,
+    invariant_violation,
 )
 from repro.rtl.logic import Value, X
+
+
+#: event -> the :class:`ChannelStats` counter it bumps (from :data:`SETTLE`)
+_COUNTER: Dict[DualChannelEvent, str] = dict(e for e in SETTLE if e is not None)
 
 
 @dataclass
@@ -44,19 +49,9 @@ class ChannelStats:
     idle: int = 0
 
     def record(self, event: DualChannelEvent) -> None:
+        counter = _COUNTER[event]
         self.cycles += 1
-        if event is DualChannelEvent.POSITIVE_TRANSFER:
-            self.positive += 1
-        elif event is DualChannelEvent.NEGATIVE_TRANSFER:
-            self.negative += 1
-        elif event is DualChannelEvent.KILL:
-            self.kills += 1
-        elif event is DualChannelEvent.RETRY_POS:
-            self.retries_pos += 1
-        elif event is DualChannelEvent.RETRY_NEG:
-            self.retries_neg += 1
-        else:
-            self.idle += 1
+        setattr(self, counter, getattr(self, counter) + 1)
 
     @property
     def throughput(self) -> float:
@@ -237,16 +232,28 @@ class Channel:
         self.data = None
 
     def finish_cycle(self) -> DualChannelEvent:
-        """Classify and record the settled cycle."""
-        if self.vp is X or self.sp is X or self.vn is X or self.sn is X:
+        """Classify and record the settled cycle.
+
+        One :data:`~repro.elastic.protocol.SETTLE` lookup on the wire
+        code gives the event and the statistics counter; the monitor
+        (if any) checks the same code.
+        """
+        vp, sp, vn, sn = self.vp, self.sp, self.vn, self.sn
+        if vp is X or sp is X or vn is X or sn is X:
             self.require_settled()
-        for observer in self.observers:
-            observer(self)
+        if self.observers:
+            for observer in self.observers:
+                observer(self)
+        code = vp << 3 | sp << 2 | vn << 1 | sn  # protocol.wire_code
+        entry = SETTLE[code]
+        if entry is None:
+            raise invariant_violation(code)
         if self.monitor is not None:
-            event = self.monitor.observe(self.vp, self.sp, self.vn, self.sn, self.data)
-        else:
-            event = classify_dual(self.vp, self.sp, self.vn, self.sn)
-        self.stats.record(event)
+            self.monitor.observe_code(code, self.data)
+        event, counter = entry
+        stats = self.stats
+        stats.cycles += 1
+        setattr(stats, counter, getattr(stats, counter) + 1)
         self.last_event = event
         return event
 

@@ -59,32 +59,77 @@ def classify(valid: int, stop: int) -> ChannelState:
     return ChannelState.RETRY if stop else ChannelState.TRANSFER
 
 
+def wire_code(vp: int, sp: int, vn: int, sn: int) -> int:
+    """The settled wires ``(V+, S+, V−, S−)`` as a 4-bit index into :data:`SETTLE`.
+
+    Wire values are 0/1 (or bools); ``X`` raises ``TypeError``.
+    """
+    return vp << 3 | sp << 2 | vn << 1 | sn
+
+
+_P = DualChannelEvent.POSITIVE_TRANSFER
+_N = DualChannelEvent.NEGATIVE_TRANSFER
+_K = DualChannelEvent.KILL
+_RP = DualChannelEvent.RETRY_POS
+_RN = DualChannelEvent.RETRY_NEG
+_I = DualChannelEvent.IDLE
+
+#: The settled-cycle event table, indexed by :func:`wire_code`: the
+#: event of each wire code and the :class:`~repro.elastic.channel.
+#: ChannelStats` counter it bumps, or ``None`` where equation (2) is
+#: broken (``V− and S+`` or ``V+ and S−``).  Kill wins over either
+#: retry, a transfer needs the opposite valid low, and every code with
+#: neither valid is idle.
+SETTLE: Tuple[Optional[Tuple[DualChannelEvent, str]], ...] = (
+    #              V+ S+ V- S-
+    (_I, "idle"),          # 0  0  0  0
+    (_I, "idle"),          # 0  0  0  1
+    (_N, "negative"),      # 0  0  1  0
+    (_RN, "retries_neg"),  # 0  0  1  1
+    (_I, "idle"),          # 0  1  0  0
+    (_I, "idle"),          # 0  1  0  1
+    None,                  # 0  1  1  0
+    None,                  # 0  1  1  1
+    (_P, "positive"),      # 1  0  0  0
+    None,                  # 1  0  0  1
+    (_K, "kills"),         # 1  0  1  0
+    None,                  # 1  0  1  1
+    (_RP, "retries_pos"),  # 1  1  0  0
+    None,                  # 1  1  0  1
+    None,                  # 1  1  1  0
+    None,                  # 1  1  1  1
+)
+
+#: ``RETRY_POS`` / ``RETRY_NEG`` codes: the cycles that start a
+#: persistence obligation for the monitor.
+_RETRY_POS_CODE = 0b1100
+_RETRY_NEG_CODE = 0b0011
+
+
 def invariant_holds(vp: int, sp: int, vn: int, sn: int) -> bool:
     """The equation (2) invariants of a dual channel."""
-    return not (vn and sp) and not (vp and sn)
+    return SETTLE[wire_code(vp, sp, vn, sn)] is not None
+
+
+def invariant_violation(code: int) -> "ProtocolViolation":
+    """The equation (2) error for a wire code :data:`SETTLE` rejects."""
+    return ProtocolViolation(
+        f"invariant (2) violated: V+={code >> 3} S+={code >> 2 & 1} "
+        f"V-={code >> 1 & 1} S-={code & 1}"
+    )
 
 
 def classify_dual(vp: int, sp: int, vn: int, sn: int) -> DualChannelEvent:
-    """Classify one cycle of a dual channel.
+    """Classify one cycle of a dual channel (a :data:`SETTLE` lookup).
 
     Raises ``ProtocolViolation`` if the invariants of equation (2) are
     broken: classification would be ambiguous otherwise.
     """
-    if not invariant_holds(vp, sp, vn, sn):
-        raise ProtocolViolation(
-            f"invariant (2) violated: V+={vp} S+={sp} V-={vn} S-={sn}"
-        )
-    if vp and vn:
-        return DualChannelEvent.KILL
-    if vp and not sp:
-        return DualChannelEvent.POSITIVE_TRANSFER
-    if vp and sp:
-        return DualChannelEvent.RETRY_POS
-    if vn and not sn:
-        return DualChannelEvent.NEGATIVE_TRANSFER
-    if vn and sn:
-        return DualChannelEvent.RETRY_NEG
-    return DualChannelEvent.IDLE
+    code = wire_code(vp, sp, vn, sn)
+    entry = SETTLE[code]
+    if entry is None:
+        raise invariant_violation(code)
+    return entry[0]
 
 
 class ProtocolViolation(AssertionError):
@@ -117,30 +162,32 @@ class ProtocolMonitor:
         self, vp: int, sp: int, vn: int, sn: int, data: object = None
     ) -> DualChannelEvent:
         """Check one cycle; returns its classification."""
-        event = classify_dual(vp, sp, vn, sn)
+        return self.observe_code(wire_code(vp, sp, vn, sn), data)
 
-        if self._pending_pos and not vp:
-            raise ProtocolViolation(
-                f"{self.name}: V+ dropped during Retry+ (persistence broken)"
-            )
-        if (
-            self._pending_pos
-            and vp
-            and self.check_data
-            and data != self._pending_data
-        ):
-            raise ProtocolViolation(
-                f"{self.name}: data changed during Retry+ "
-                f"({self._pending_data!r} -> {data!r})"
-            )
-        if self._pending_neg and not vn:
+    def observe_code(self, code: int, data: object = None) -> DualChannelEvent:
+        """:meth:`observe` on the cycle's :func:`wire_code`."""
+        entry = SETTLE[code]
+        if entry is None:
+            raise invariant_violation(code)
+        if self._pending_pos:
+            if not code & 0b1000:
+                raise ProtocolViolation(
+                    f"{self.name}: V+ dropped during Retry+ (persistence broken)"
+                )
+            if self.check_data and data != self._pending_data:
+                raise ProtocolViolation(
+                    f"{self.name}: data changed during Retry+ "
+                    f"({self._pending_data!r} -> {data!r})"
+                )
+        if self._pending_neg and not code & 0b0010:
             raise ProtocolViolation(
                 f"{self.name}: V- dropped during Retry- (persistence broken)"
             )
 
-        self._pending_pos = event is DualChannelEvent.RETRY_POS
-        self._pending_data = data if self._pending_pos else None
-        self._pending_neg = event is DualChannelEvent.RETRY_NEG
+        pending_pos = self._pending_pos = code == _RETRY_POS_CODE
+        self._pending_data = data if pending_pos else None
+        self._pending_neg = code == _RETRY_NEG_CODE
+        event = entry[0]
         self.history.append(event)
         return event
 

@@ -82,6 +82,8 @@ class OracleConfig:
     verify_max_states: int = 20_000
     #: optional BuildCache for compiled modules and Kripke structures
     cache: object = None
+    #: also read and store the CTL stage's Kripke structures in ``cache``
+    verify_cache: bool = True
 
 
 def _finding(model: SpecModel, seed: int, stage: str,
@@ -220,7 +222,8 @@ def _ctl_spot_check(
     try:
         result = verify_netlist(
             elab.netlist, channels, include_liveness=False,
-            max_states=config.verify_max_states, cache=config.cache,
+            max_states=config.verify_max_states,
+            cache=config.cache if config.verify_cache else None,
         )
     except StateSpaceLimitError:
         return None  # over budget: a skip, not a finding

@@ -50,6 +50,8 @@ class FuzzConfig:
     check_verify: bool = True
     generator: Optional[GeneratorConfig] = None
     cache: object = None
+    #: see :attr:`OracleConfig.verify_cache`
+    verify_cache: bool = True
 
 
 @dataclass
@@ -97,6 +99,7 @@ def _oracle_config(config: FuzzConfig, fast: bool = False) -> OracleConfig:
         check_gates=config.check_gates and not fast,
         check_verify=config.check_verify and not fast,
         cache=config.cache,
+        verify_cache=config.verify_cache,
     )
 
 

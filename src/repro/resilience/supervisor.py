@@ -128,8 +128,16 @@ class _Worker:
         self.dispatched_at = 0.0
 
 
-def _worker_loop(conn, worker_init, init_args) -> None:
-    """Worker-process main: build the context once, then serve shards."""
+def _worker_loop(conn, inherited, worker_init, init_args) -> None:
+    """Worker-process main: build the context once, then serve shards.
+
+    ``inherited`` are the supervisor-side ends of the worker pipes the
+    fork copied into this process, its own included.  They are closed
+    first: while any copy stays open, ``conn.recv()`` never sees EOF
+    and a worker outlives a supervisor killed without cleanup.
+    """
+    for end in inherited:
+        end.close()
     try:
         run = worker_init(*init_args)
         conn.send(("ready", -1, None))
@@ -218,9 +226,10 @@ class ShardSupervisor:
     # -- worker lifecycle ----------------------------------------------
     def _spawn_worker(self) -> None:
         parent_conn, child_conn = mp.Pipe()
+        inherited = [parent_conn, *(w.conn for w in self._workers)]
         process = mp.Process(
             target=_worker_loop,
-            args=(child_conn, self._worker_init, self._init_args),
+            args=(child_conn, inherited, self._worker_init, self._init_args),
             daemon=True,
         )
         process.start()

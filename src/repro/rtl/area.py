@@ -19,7 +19,7 @@ module regenerates those three numbers from our controller netlists:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.rtl.logic import Value, X
 from repro.rtl.netlist import FlipFlop, Gate, Latch, Netlist
@@ -150,24 +150,40 @@ def _simplify_gate(
     raise AssertionError(f"unhandled op {op}")
 
 
-def _combinational_constants(
-    netlist: Netlist, const: Dict[str, int]
-) -> Dict[str, int]:
-    """Extend ``const`` with every gate output it forces (pure sweep)."""
-    result = dict(const)
-    changed = True
-    while changed:
-        changed = False
-        for out, gate in netlist.gates.items():
-            if out in result:
-                continue
-            _, _, cval, alias_to = _simplify_gate(gate.op, gate.ins, result)
-            if cval is None and alias_to is not None and alias_to in result:
-                cval = result[alias_to]
-            if cval is not None:
-                result[out] = cval
-                changed = True
-    return result
+def _readers(netlist: Netlist) -> Dict[str, List[str]]:
+    """Signal -> outputs of the gates reading it (combinational fanout)."""
+    readers: Dict[str, List[str]] = {}
+    for out, gate in netlist.gates.items():
+        for sig in gate.ins:
+            readers.setdefault(sig, []).append(out)
+    return readers
+
+
+def _propagate(
+    gates: Mapping[str, Gate],
+    readers: Mapping[str, List[str]],
+    known: Dict[str, int],
+    todo: Iterable[str],
+) -> None:
+    """Extend ``known`` with every gate output it forces (worklist).
+
+    Evaluates each gate of ``todo`` once; a gate not yet constant is
+    evaluated again only when one of its inputs has just become
+    constant.  Gate simplification is monotone in the known inputs, so
+    the result is the least fixed point, whatever the visiting order.
+    """
+    stack = list(todo)
+    while stack:
+        out = stack.pop()
+        if out in known:
+            continue
+        gate = gates[out]
+        _, _, cval, alias_to = _simplify_gate(gate.op, gate.ins, known)
+        if cval is None and alias_to is not None:
+            cval = known.get(alias_to)
+        if cval is not None:
+            known[out] = cval
+            stack.extend(readers.get(out, ()))
 
 
 def sequential_constants(
@@ -176,34 +192,54 @@ def sequential_constants(
     """Sequential constant analysis (greatest fixed point).
 
     Every latch/flop is assumed stuck at its init value; assumptions are
-    withdrawn whenever the combinational sweep cannot confirm that the
+    withdrawn whenever constant propagation cannot confirm that the
     element's data input equals its init under the surviving
     assumptions.  What remains is an inductive invariant: those state
     bits provably never change.  This is what removes the whole
     anti-token network when no controller can ever emit a ``V−`` -- the
     paper's "simplification by simple logic synthesis techniques".
-    """
-    candidates: Dict[str, int] = {}
-    for q, latch in netlist.latches.items():
-        if latch.init is not X:
-            candidates[q] = latch.init
-    for q, flop in netlist.flops.items():
-        if flop.init is not X:
-            candidates[q] = flop.init
 
+    Withdrawing a state bit retracts only its combinational fanout cone
+    (the gate constants that may have depended on it) and propagates
+    that cone again; the rest of the analysis stands.
+    """
+    bindings = dict(bindings or {})
+    data_in: Dict[str, str] = {}
+    candidates: Dict[str, int] = {}
+    for cells in (netlist.latches, netlist.flops):
+        for q, cell in cells.items():
+            if cell.init is not X:
+                candidates[q] = cell.init
+                data_in[q] = cell.d
+
+    gates = netlist.gates
+    readers = _readers(netlist)
+    known = dict(bindings)
+    known.update(candidates)
+    _propagate(gates, readers, known, gates)
     while True:
-        assumed = dict(bindings or {})
-        assumed.update(candidates)
-        known = _combinational_constants(netlist, assumed)
-        drop = []
-        for q in candidates:
-            d = netlist.latches[q].d if q in netlist.latches else netlist.flops[q].d
-            if known.get(d) != candidates[q]:
-                drop.append(q)
+        drop = [q for q, init in candidates.items() if known.get(data_in[q]) != init]
         if not drop:
             return known
+        # Retract the gate constants downstream of the withdrawn bits,
+        # then propagate again from the retracted gates and from the
+        # bits' readers (a bound bit falls back to its binding).
+        todo: List[str] = []
         for q in drop:
             del candidates[q]
+            if q in bindings:
+                known[q] = bindings[q]
+            else:
+                del known[q]
+            todo.extend(readers.get(q, ()))
+        stack = list(todo)
+        while stack:
+            out = stack.pop()
+            if out in known and out not in bindings:
+                del known[out]
+                todo.append(out)
+                stack.extend(readers.get(out, ()))
+        _propagate(gates, readers, known, todo)
 
 
 def constant_propagate(
@@ -215,7 +251,10 @@ def constant_propagate(
     (state bits provably stuck at their init value, see
     :func:`sequential_constants`) are computed first; then constants
     are swept through gates, buffers are collapsed and surviving cells
-    are rebuilt.  Iterates to a fixed point.
+    are rebuilt.  The rewrite is a worklist: a gate is simplified again
+    only when one of its inputs became constant or an alias, and the
+    state cells are rechecked once the gates are done, until a fixed
+    point.
     """
     const: Dict[str, int] = dict(bindings or {})
     const.update(sequential_constants(netlist, bindings))
@@ -233,43 +272,38 @@ def constant_propagate(
     gate_defs: Dict[str, Tuple[str, Tuple[str, ...]]] = {
         out: (g.op, g.ins) for out, g in netlist.gates.items()
     }
+    readers = _readers(netlist)
+    cells = [*netlist.latches.items(), *netlist.flops.items()]
 
-    changed = True
-    while changed:
-        changed = False
-        for out in list(gate_defs):
+    todo = list(gate_defs)
+    while todo:
+        while todo:
+            out = todo.pop()
+            if out not in gate_defs:
+                continue
             if out in const:
                 del gate_defs[out]
-                changed = True
                 continue
             op, ins = gate_defs[out]
             new_ins = tuple(resolve(i) for i in ins)
             new_op, new_ins, cval, alias_to = _simplify_gate(op, new_ins, const)
             if cval is not None:
                 const[out] = cval
-                del gate_defs[out]
-                changed = True
             elif alias_to is not None:
                 alias[out] = resolve(alias_to)
-                del gate_defs[out]
-                changed = True
-            elif (new_op, new_ins) != (op, ins):
-                gate_defs[out] = (new_op, new_ins)
-                changed = True
-        for q, latch in netlist.latches.items():
-            if q in const:
+            else:
+                if (new_op, new_ins) != (op, ins):
+                    gate_defs[out] = (new_op, new_ins)
+                    for sig in new_ins:
+                        if sig not in ins:
+                            readers.setdefault(sig, []).append(out)
                 continue
-            d = resolve(latch.d)
-            if const.get(d) is not None and const[d] == latch.init:
-                const[q] = latch.init
-                changed = True
-        for q, flop in netlist.flops.items():
-            if q in const:
-                continue
-            d = resolve(flop.d)
-            if const.get(d) is not None and const[d] == flop.init:
-                const[q] = flop.init
-                changed = True
+            del gate_defs[out]
+            todo.extend(readers.get(out, ()))
+        for q, cell in cells:
+            if q not in const and const.get(resolve(cell.d)) == cell.init:
+                const[q] = cell.init
+                todo.extend(readers.get(q, ()))
 
     # Rebuild.
     out_nl = Netlist(netlist.name + "+cp")

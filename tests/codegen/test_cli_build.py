@@ -121,6 +121,12 @@ class TestFuzzCache:
         assert _artifacts(cache)[1] == 0
         assert _artifacts(default)[1] == 0
 
+    def test_no_cache_still_builds_modules_in_cache_dir(self, tmp_path,
+                                                        capsys):
+        cache = tmp_path / "cache"
+        assert main(self.ARGS + ["--cache", str(cache), "--no-cache"]) == 0
+        assert _artifacts(cache) == (2, 0)
+
 
 class TestLintCache:
     def test_cached_run_matches_uncached(self, tmp_path, capsys):

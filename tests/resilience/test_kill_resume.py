@@ -121,3 +121,63 @@ class TestKillAndResume:
         # The store was reused, not rebuilt from scratch.
         manifest = json.loads((ck / "manifest.json").read_text())
         assert manifest["target"] == "dual_ehb"
+
+
+def _children(pid):
+    """Live child pids of ``pid``, read from /proc (zombies count as gone)."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, ...
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            children.append(int(entry.name))
+    return children
+
+
+def _alive(pid):
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigkilled_inject_leaves_no_shard_workers():
+    argv = [
+        sys.executable, "-m", "repro", "inject",
+        "--netlist", "dual_ehb", "--jobs", "2", "--cycles", "20000",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 120
+        while time.monotonic() < deadline and proc.poll() is None:
+            workers = _children(proc.pid)
+            if len(workers) >= 2:
+                proc.send_signal(signal.SIGKILL)
+                break
+            time.sleep(0.01)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=30)
+    assert len(workers) >= 2, "the campaign never started its shard workers"
+
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline and any(_alive(w) for w in workers):
+        time.sleep(0.05)
+    survivors = [w for w in workers if _alive(w)]
+    for pid in survivors:  # do not leak them into the rest of the run
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors, f"shard workers {survivors} outlived the supervisor"

@@ -1,16 +1,24 @@
 """Tests for the area pipeline: constants, pruning, literal counts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.casestudy.fig9 import Config, build_fig9_spec
+from repro.faults.targets import TARGETS
 from repro.rtl.area import (
+    _simplify_gate,
     constant_propagate,
     count_area,
     prune_dead,
     sequential_constants,
     synthesize_area,
 )
+from repro.rtl.logic import X
 from repro.rtl.netlist import Netlist, Phase
 from repro.rtl.simulator import TwoPhaseSimulator
+from repro.synthesis.elaborate import control_layer_area
+from tests.strategies import random_netlists
 
 
 def _build_sample():
@@ -186,3 +194,208 @@ class TestSynthesizeArea:
         nl.add_output("q")
         report = synthesize_area(nl)
         assert report.literals == 0  # q == b, a buffer
+
+
+class TestPinnedAreas:
+    """Exact reports: the Table 1 area columns and every shipped target."""
+
+    @pytest.mark.parametrize("config,report", [
+        (Config.ACTIVE, (620, 64, 13, 460)),
+        (Config.NO_BUFFER, (598, 60, 13, 443)),
+        (Config.PASSIVE_F3W, (524, 52, 13, 399)),
+        (Config.PASSIVE_M2W, (562, 60, 13, 423)),
+        (Config.LAZY, (340, 40, 10, 271)),
+    ])
+    def test_table1_control_layer(self, config, report):
+        area = control_layer_area(build_fig9_spec(config))
+        assert (area.literals, area.latches, area.flops, area.gates) == report
+
+    @pytest.mark.parametrize("target,report", [
+        ("dual_ehb", (68, 0, 6, 49)),
+        ("dual_ehb_latches", (68, 8, 2, 49)),
+        ("join", (52, 0, 5, 40)),
+        ("early_join", (62, 0, 5, 46)),
+        ("fork", (63, 0, 5, 48)),
+        ("passive", (13, 0, 2, 11)),
+        ("vl", (45, 0, 4, 34)),
+    ])
+    def test_shipped_rtl_target(self, target, report):
+        assert set(TARGETS) == {
+            "dual_ehb", "dual_ehb_latches", "join", "early_join", "fork",
+            "passive", "vl",
+        }
+        area = synthesize_area(TARGETS[target]().netlist)
+        assert (area.literals, area.latches, area.flops, area.gates) == report
+
+
+# Reference: the plain whole-netlist sweeps the worklist analysis
+# replaced.  Every gate is re-simplified on every pass until a pass
+# changes nothing, and every withdrawn state assumption restarts the
+# combinational analysis from scratch.
+def _sweep_constants(netlist, const):
+    result = dict(const)
+    changed = True
+    while changed:
+        changed = False
+        for out, gate in netlist.gates.items():
+            if out in result:
+                continue
+            _, _, cval, alias_to = _simplify_gate(gate.op, gate.ins, result)
+            if cval is None and alias_to is not None and alias_to in result:
+                cval = result[alias_to]
+            if cval is not None:
+                result[out] = cval
+                changed = True
+    return result
+
+
+def reference_sequential_constants(netlist, bindings=None):
+    candidates = {}
+    for cells in (netlist.latches, netlist.flops):
+        for q, cell in cells.items():
+            if cell.init is not X:
+                candidates[q] = cell.init
+    while True:
+        assumed = dict(bindings or {})
+        assumed.update(candidates)
+        known = _sweep_constants(netlist, assumed)
+        drop = []
+        for q in candidates:
+            cell = netlist.latches.get(q) or netlist.flops[q]
+            if known.get(cell.d) != candidates[q]:
+                drop.append(q)
+        if not drop:
+            return known
+        for q in drop:
+            del candidates[q]
+
+
+def reference_constant_propagate(netlist, bindings=None):
+    const = dict(bindings or {})
+    const.update(reference_sequential_constants(netlist, bindings))
+    alias = {}
+
+    def resolve(sig):
+        while sig in alias:
+            sig = alias[sig]
+        return sig
+
+    gate_defs = {out: (g.op, g.ins) for out, g in netlist.gates.items()}
+    changed = True
+    while changed:
+        changed = False
+        for out in list(gate_defs):
+            if out in const:
+                del gate_defs[out]
+                changed = True
+                continue
+            op, ins = gate_defs[out]
+            new_ins = tuple(resolve(i) for i in ins)
+            new_op, new_ins, cval, alias_to = _simplify_gate(op, new_ins, const)
+            if cval is not None:
+                const[out] = cval
+                del gate_defs[out]
+                changed = True
+            elif alias_to is not None:
+                alias[out] = resolve(alias_to)
+                del gate_defs[out]
+                changed = True
+            elif (new_op, new_ins) != (op, ins):
+                gate_defs[out] = (new_op, new_ins)
+                changed = True
+        for cells in (netlist.latches, netlist.flops):
+            for q, cell in cells.items():
+                if q not in const and const.get(resolve(cell.d)) == cell.init:
+                    const[q] = cell.init
+                    changed = True
+
+    out_nl = Netlist(netlist.name + "+cp")
+    for sig in netlist.inputs:
+        if sig not in const:
+            out_nl.add_input(sig)
+    const_cache = {}
+
+    def materialise(sig):
+        sig = resolve(sig)
+        if sig in const:
+            v = const[sig]
+            if v not in const_cache:
+                name = out_nl.fresh(f"const{v}")
+                out_nl.add_gate("CONST1" if v else "CONST0", (), name)
+                const_cache[v] = name
+            return const_cache[v]
+        return sig
+
+    for out, (op, ins) in gate_defs.items():
+        out_nl.add_gate(op, tuple(materialise(i) for i in ins), out)
+    for q, latch in netlist.latches.items():
+        if resolve(q) == q and q not in const:
+            out_nl.add_latch(materialise(latch.d), latch.phase, q, latch.init)
+    for q, flop in netlist.flops.items():
+        if resolve(q) == q and q not in const:
+            out_nl.add_flop(materialise(flop.d), q, flop.init)
+    for sig in netlist.outputs:
+        out_nl.add_output(materialise(sig))
+    return out_nl
+
+
+def _layout(nl):
+    """Every cell of a netlist, in declaration order."""
+    return (
+        list(nl.inputs),
+        [(out, g.op, g.ins) for out, g in nl.gates.items()],
+        [(q, c.d, c.phase, c.init) for q, c in nl.latches.items()],
+        [(q, c.d, c.init) for q, c in nl.flops.items()],
+        list(nl.outputs),
+    )
+
+
+@st.composite
+def _bound_netlists(draw):
+    """A random netlist plus 0/1 bindings on some of its signals.
+
+    Bindings may name inputs, gate outputs or state bits: a bound state
+    bit falls back to its binding once its init assumption is withdrawn.
+    """
+    nl = draw(random_netlists())
+    for sig in sorted(nl.signals()):
+        if draw(st.integers(0, 9)) == 0:
+            nl.add_output(sig)
+    names = sorted(nl.signals())
+    bound = draw(st.lists(st.sampled_from(names), max_size=3, unique=True))
+    return nl, {sig: draw(st.integers(0, 1)) for sig in bound}
+
+
+class TestWorklistMatchesSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(_bound_netlists())
+    def test_random_netlists(self, case):
+        nl, bindings = case
+        assert sequential_constants(nl, bindings) == (
+            reference_sequential_constants(nl, bindings))
+        assert _layout(constant_propagate(nl, bindings)) == _layout(
+            reference_constant_propagate(nl, bindings))
+
+    def test_late_alias_reaches_rewritten_readers(self):
+        # y only becomes an alias of b once both MUX arms resolve to b,
+        # after g was already rewritten to read y instead of x; g must
+        # then collapse too (MUX with equal arms).
+        nl = Netlist("late")
+        b, s, s2 = (nl.add_input(n) for n in ("b", "s", "s2"))
+        one = nl.const1(out="one")
+        nl.AND(b, one, out="a1")
+        nl.AND(b, one, out="a2")
+        nl.MUX(s, "a1", "a2", out="y")
+        nl.AND("y", one, out="x")
+        nl.MUX(s2, "x", b, out="g")
+        nl.add_output("g")
+        out = constant_propagate(nl)
+        assert _layout(out) == _layout(reference_constant_propagate(nl))
+        assert "g" not in out.gates and out.outputs[0] == "b"
+
+    @pytest.mark.parametrize("target", sorted(TARGETS))
+    def test_shipped_rtl_targets(self, target):
+        nl = TARGETS[target]().netlist
+        assert sequential_constants(nl) == reference_sequential_constants(nl)
+        assert _layout(constant_propagate(nl)) == _layout(
+            reference_constant_propagate(nl))
